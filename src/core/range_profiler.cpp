@@ -1,7 +1,11 @@
 #include "core/range_profiler.hpp"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <string>
+
+#include "util/threadpool.hpp"
 
 namespace rangerpp::core {
 
@@ -66,11 +70,26 @@ util::RunningRange RangeProfile::range_of(const std::string& name) const {
 
 RangeProfile RangeProfiler::profile(
     const graph::Graph& g, const std::vector<fi::Feeds>& samples) const {
+  return run_profile(g, samples, /*sample_reservoirs=*/true);
+}
+
+Bounds RangeProfiler::derive_bounds(
+    const graph::Graph& g, const std::vector<fi::Feeds>& samples) const {
+  return run_profile(g, samples, options_.percentile < 100.0)
+      .bounds(options_.percentile);
+}
+
+RangeProfile RangeProfiler::run_profile(const graph::Graph& g,
+                                        const std::vector<fi::Feeds>& samples,
+                                        bool sample_reservoirs) const {
   if (samples.empty())
     throw std::invalid_argument("RangeProfiler: no samples");
   RangeProfile prof;
 
-  // Pre-create per-ACT-layer slots (including analytic ones).
+  // Pre-create per-ACT-layer slots (including analytic ones); `observed`
+  // indexes the layers that gather statistics.
+  std::map<std::string, std::size_t> slot_of;
+  std::vector<RangeProfile::LayerStats*> observed;
   for (const graph::Node& n : g.nodes()) {
     if (!ops::is_activation(n.op->kind())) continue;
     Bound analytic;
@@ -86,32 +105,65 @@ RangeProfile RangeProfiler::profile(
                                             static_cast<std::uint64_t>(n.id))),
           false,
           {}};
-      prof.layers_.emplace(n.name, std::move(stats));
+      const auto [it, inserted] =
+          prof.layers_.emplace(n.name, std::move(stats));
+      if (inserted) {
+        slot_of.emplace(n.name, observed.size());
+        observed.push_back(&it->second);
+      }
     }
   }
 
-  // One compiled plan + arena for the whole profiling stream: constants
-  // are materialised once and the schedule is reused per sample.
+  // What one sample contributes to one layer: its extrema, and (for the
+  // reservoirs) a copy of its values.
+  struct SampleStats {
+    util::RunningRange range;
+    std::vector<float> values;
+  };
+
+  // Samples run in parallel, one shared plan and one arena per worker.
+  // Extrema need no copies, so the whole stream is one chunk; reservoir
+  // sampling holds at most kReservoirChunk samples' activations at once.
+  constexpr std::size_t kReservoirChunk = 16;
+  const std::size_t n = samples.size();
+  const std::size_t chunk =
+      sample_reservoirs ? std::min(n, kReservoirChunk) : n;
   const graph::Executor exec({tensor::DType::kFloat32});
   const graph::ExecutionPlan plan(g, tensor::DType::kFloat32);
-  graph::Arena arena;
-  for (const fi::Feeds& feeds : samples) {
-    exec.run(plan, feeds, arena,
-             [&prof](const graph::Node& node, tensor::Tensor& out) {
-               const auto it = prof.layers_.find(node.name);
-               if (it == prof.layers_.end() || it->second.analytic) return;
-               for (float v : out.values()) {
-                 it->second.range.observe(v);
-                 it->second.reservoir.observe(v);
-               }
-             });
+  std::vector<graph::Arena> arenas(util::worker_count(chunk));
+  std::vector<std::vector<SampleStats>> per_sample(
+      chunk, std::vector<SampleStats>(observed.size()));
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    const std::size_t count = std::min(chunk, n - begin);
+    util::parallel_for_workers(count, [&](unsigned worker, std::size_t k) {
+      std::vector<SampleStats>& mine = per_sample[k];
+      for (SampleStats& s : mine) {
+        s.range = {};
+        s.values.clear();
+      }
+      exec.run(plan, samples[begin + k], arenas[worker],
+               [&](const graph::Node& node, tensor::Tensor& out) {
+                 const auto it = slot_of.find(node.name);
+                 if (it == slot_of.end()) return;
+                 SampleStats& s = mine[it->second];
+                 const auto values = out.values();
+                 for (float v : values) s.range.observe(v);
+                 if (sample_reservoirs)
+                   s.values.insert(s.values.end(), values.begin(),
+                                   values.end());
+               });
+    });
+    // Fold in sample order: RunningRange::merge keeps its left operand on
+    // ties, as the serial `<` does, and each reservoir sees the stream's
+    // order.
+    for (std::size_t k = 0; k < count; ++k)
+      for (std::size_t l = 0; l < observed.size(); ++l) {
+        const SampleStats& s = per_sample[k][l];
+        observed[l]->range.merge(s.range);
+        for (float v : s.values) observed[l]->reservoir.observe(v);
+      }
   }
   return prof;
-}
-
-Bounds RangeProfiler::derive_bounds(
-    const graph::Graph& g, const std::vector<fi::Feeds>& samples) const {
-  return profile(g, samples).bounds(options_.percentile);
 }
 
 }  // namespace rangerpp::core

@@ -12,6 +12,12 @@
 //
 // Functions with inherent bounds (Tanh: (-1,1), Sigmoid: (0,1)) get their
 // analytic bounds and need no statistics.
+//
+// Profiling runs the samples in parallel (one shared plan, one arena per
+// worker) and folds each sample's statistics into the per-layer
+// accumulators in sample order, so the result is bit-identical to a serial
+// pass over the stream: extrema ties keep the first-seen value and every
+// reservoir sees its values in stream order.
 #pragma once
 
 #include <cstdint>
@@ -67,10 +73,16 @@ class RangeProfiler {
                        const std::vector<fi::Feeds>& samples) const;
 
   // Convenience: profile + extract bounds at the configured percentile.
+  // At percentile 100 the bounds are the extrema alone, so the reservoirs
+  // are left empty.
   Bounds derive_bounds(const graph::Graph& g,
                        const std::vector<fi::Feeds>& samples) const;
 
  private:
+  RangeProfile run_profile(const graph::Graph& g,
+                           const std::vector<fi::Feeds>& samples,
+                           bool sample_reservoirs) const;
+
   ProfileOptions options_;
 };
 

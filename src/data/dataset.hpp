@@ -32,10 +32,4 @@ struct Dataset {
                                std::size_t n = 0) const;
 };
 
-// Deterministic train/validation pair.
-struct Split {
-  Dataset train;
-  Dataset validation;
-};
-
 }  // namespace rangerpp::data

@@ -5,7 +5,9 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/threadpool.hpp"
 
 namespace rangerpp::data {
 
@@ -25,6 +27,24 @@ constexpr const char* kGlyphs[10][7] = {
     {"#####", "#...#", "#...#", "#####", "....#", "....#", "#####"},  // 9
 };
 
+// Synthesises samples [first, first + n) of a generator's stream: `fill`
+// renders sample i from an Rng seeded with derive_seed(seed, i) into a
+// zeroed image of `shape`.  The images are allocated here, on the calling
+// thread, so the workers only write values.
+template <class Fill>
+Dataset generate(std::size_t n, std::size_t first, std::uint64_t seed,
+                 const tensor::Shape& shape, const Fill& fill) {
+  Dataset ds;
+  ds.samples.resize(n);
+  for (Sample& s : ds.samples) s.image = tensor::Tensor(shape);
+  util::parallel_for(n, [&](std::size_t k) {
+    util::Rng rng(util::derive_seed(seed, first + k));
+    fill(rng, ds.samples[k]);
+  });
+  util::metrics::counter_add("data.samples", n);
+  return ds;
+}
+
 }  // namespace
 
 std::vector<fi::Feeds> Dataset::feeds(const std::string& input_name,
@@ -37,14 +57,13 @@ std::vector<fi::Feeds> Dataset::feeds(const std::string& input_name,
   return out;
 }
 
-Dataset synthetic_digits(std::size_t n, std::uint64_t seed) {
+Dataset synthetic_digits(std::size_t n, std::uint64_t seed,
+                         std::size_t first) {
   constexpr int kH = 28, kW = 28;
-  Dataset ds;
-  ds.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    util::Rng rng(util::derive_seed(seed, i));
+  return generate(n, first, seed, tensor::Shape{1, kH, kW, 1},
+                  [](util::Rng& rng, Sample& sample) {
     const int label = static_cast<int>(rng.uniform_index(10));
-    tensor::Tensor img(tensor::Shape{1, kH, kW, 1});
+    tensor::Tensor& img = sample.image;
 
     // Glyph cell size and jittered placement.
     const int scale = 3;
@@ -76,19 +95,15 @@ Dataset synthetic_digits(std::size_t n, std::uint64_t seed) {
       v += static_cast<float>(rng.normal(0.0, 0.05));
       v = std::clamp(v, 0.0f, 1.0f);
     }
-
-    ds.samples.push_back(Sample{std::move(img), label, 0.0f});
-  }
-  return ds;
+    sample.label = label;
+  });
 }
 
 Dataset synthetic_objects(std::size_t n, int classes, int height, int width,
-                          std::uint64_t seed) {
+                          std::uint64_t seed, std::size_t first) {
   if (classes <= 0) throw std::invalid_argument("synthetic_objects: classes");
-  Dataset ds;
-  ds.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    util::Rng rng(util::derive_seed(seed, i));
+  return generate(n, first, seed, tensor::Shape{1, height, width, 3},
+                  [&](util::Rng& rng, Sample& sample) {
     const int label = static_cast<int>(
         rng.uniform_index(static_cast<std::uint64_t>(classes)));
 
@@ -109,7 +124,6 @@ Dataset synthetic_objects(std::size_t n, int classes, int height, int width,
     const double phase2 = rng.uniform(0.0, 2.0 * std::numbers::pi);
     const double gain = rng.uniform(0.7, 1.2);
 
-    tensor::Tensor img(tensor::Shape{1, height, width, 3});
     for (int y = 0; y < height; ++y)
       for (int x = 0; x < width; ++x) {
         const double u1 = std::cos(theta1) * x + std::sin(theta1) * y;
@@ -118,29 +132,25 @@ Dataset synthetic_objects(std::size_t n, int classes, int height, int width,
                                0.25 * std::sin(freq2 * u2 + phase2);
         for (int c = 0; c < 3; ++c) {
           double v = gain * pattern * hue[c] + rng.normal(0.0, 0.04);
-          img.set4(0, y, x, c,
-                   static_cast<float>(std::clamp(v, 0.0, 1.0)));
+          sample.image.set4(0, y, x, c,
+                            static_cast<float>(std::clamp(v, 0.0, 1.0)));
         }
       }
-    ds.samples.push_back(Sample{std::move(img), label, 0.0f});
-  }
-  return ds;
+    sample.label = label;
+  });
 }
 
 Dataset synthetic_driving(std::size_t n, int height, int width,
-                          std::uint64_t seed) {
-  Dataset ds;
-  ds.samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    util::Rng rng(util::derive_seed(seed, i));
-
+                          std::uint64_t seed, std::size_t first) {
+  return generate(n, first, seed, tensor::Shape{1, height, width, 3},
+                  [&](util::Rng& rng, Sample& sample) {
     // Road curvature in [-1, 1]; steering angle proportional, in degrees.
     // The SullyChen recordings span roughly ±180 degrees of wheel angle;
     // we use ±60 to keep synthetic roads renderable.
     const double curvature = rng.uniform(-1.0, 1.0);
     const float angle_deg = static_cast<float>(60.0 * curvature);
 
-    tensor::Tensor img(tensor::Shape{1, height, width, 3});
+    tensor::Tensor& img = sample.image;
     const int horizon = height / 3;
     for (int y = 0; y < height; ++y) {
       // Perspective: t = 0 at horizon, 1 at bottom.
@@ -178,20 +188,8 @@ Dataset synthetic_driving(std::size_t n, int height, int width,
                      b + rng.normal(0.0, 0.03), 0.0, 1.0)));
       }
     }
-    ds.samples.push_back(Sample{std::move(img), 0, angle_deg});
-  }
-  return ds;
-}
-
-Split split(Dataset all, std::size_t train_n) {
-  if (train_n >= all.samples.size())
-    throw std::invalid_argument("split: train_n exceeds dataset");
-  Split s;
-  s.train.samples.assign(all.samples.begin(),
-                         all.samples.begin() + static_cast<long>(train_n));
-  s.validation.samples.assign(
-      all.samples.begin() + static_cast<long>(train_n), all.samples.end());
-  return s;
+    sample.angle = angle_deg;
+  });
 }
 
 }  // namespace rangerpp::data

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <optional>
 #include <stdexcept>
 
 #include "graph/executor.hpp"
@@ -28,25 +29,27 @@ std::string act_tag(ops::OpKind act) {
   }
 }
 
-// The synthetic dataset a model trains/evaluates on; sized to cover
-// training + profiling + validation + eval inputs.
-data::Dataset make_dataset(ModelId id, std::size_t n, std::uint64_t seed) {
+// Samples [first, first + n) of the synthetic stream a model trains and
+// evaluates on.  The stream is laid out as [0, train_n) training samples
+// followed by the validation samples.
+data::Dataset make_dataset(ModelId id, std::size_t n, std::uint64_t seed,
+                           std::size_t first) {
   switch (id) {
     case ModelId::kLeNet:
-      return data::synthetic_digits(n, seed);
+      return data::synthetic_digits(n, seed, first);
     case ModelId::kAlexNet:
-      return data::synthetic_objects(n, 10, 32, 32, seed);
+      return data::synthetic_objects(n, 10, 32, 32, seed, first);
     case ModelId::kVgg11:
-      return data::synthetic_objects(n, 43, 32, 32, seed);
+      return data::synthetic_objects(n, 43, 32, 32, seed, first);
     case ModelId::kVgg16:
     case ModelId::kResNet18:
     case ModelId::kSqueezeNet:
-      return data::synthetic_objects(n, 1000, 32, 32, seed);
+      return data::synthetic_objects(n, 1000, 32, 32, seed, first);
     case ModelId::kDave:
     case ModelId::kDaveDegrees:
-      return data::synthetic_driving(n, 66, 100, seed);
+      return data::synthetic_driving(n, 66, 100, seed, first);
     case ModelId::kComma:
-      return data::synthetic_driving(n, 33, 80, seed);
+      return data::synthetic_driving(n, 33, 80, seed, first);
   }
   throw std::invalid_argument("make_dataset: bad model id");
 }
@@ -117,24 +120,36 @@ graph::CompileOptions inference_compile_options() {
 
 }  // namespace
 
+std::string weight_cache_path(ModelId id, ops::OpKind act,
+                              std::uint64_t seed, const std::string& part) {
+  std::string name = model_name(id) + "_" + act_tag(act);
+  if (seed != kDefaultWorkloadSeed) name += "_s" + std::to_string(seed);
+  if (!part.empty()) name += "_" + part;
+  return weight_cache_dir() + "/" + name + ".bin";
+}
+
 Workload make_workload(ModelId id, const WorkloadOptions& options) {
   Workload w;
   w.id = id;
   w.act = options.act == ops::OpKind::kInput ? default_act(id) : options.act;
   w.input_name = "input";
 
+  // The training range [0, train_n) is synthesised only when a weight-cache
+  // miss trains or calibrates on it; otherwise set-up reads just the
+  // profiling prefix and the validation range.
   const std::size_t train_n = train_set_size(id);
-  const std::size_t total = train_n + options.validation_samples;
-  data::Split split = data::split(
-      make_dataset(id, total, options.seed), train_n);
+  std::optional<data::Dataset> train_set;
+  const auto training_data = [&]() -> const data::Dataset& {
+    if (!train_set) train_set = make_dataset(id, train_n, options.seed, 0);
+    return *train_set;
+  };
 
   // --- Weights: init, then train-or-load for the trainable models. -------
   w.weights = init_weights(id, w.act, options.seed ^ 0xabcdef);
   if (options.trained && is_trainable(id)) {
-    const std::string cache = weight_cache_dir() + "/" + model_name(id) +
-                              "_" + act_tag(w.act) + ".bin";
+    const std::string cache = weight_cache_path(id, w.act, options.seed);
     if (!load_weights(w.weights, cache)) {
-      train::fit(make_arch(id, w.act), w.weights, split.train,
+      train::fit(make_arch(id, w.act), w.weights, training_data(),
                  fit_options(id));
       save_weights(w.weights, cache);
     }
@@ -145,8 +160,8 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
   // realistic classifier-confidence margins; DESIGN.md §3). --------------
   if (options.trained && has_calibrated_head(id)) {
     const HeadSpec spec = head_spec(id);
-    const std::string cache = weight_cache_dir() + "/" + model_name(id) +
-                              "_" + act_tag(w.act) + "_head.bin";
+    const std::string cache =
+        weight_cache_path(id, w.act, options.seed, "head");
     Weights head_w;
     if (!load_weights(head_w, cache)) {
       HeadCalibrationOptions ho;
@@ -154,7 +169,7 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
       ho.seed = options.seed ^ 0x4ead;
       const CalibratedHead head = calibrate_softmax_head(
           w.graph, w.input_name, spec.feature_node, num_classes(id),
-          split.train, ho);
+          training_data(), ho);
       if (spec.conv_head) {
         // Fold [dim, classes] into a 1x1 conv filter [1,1,dim,classes]
         // (identical memory layout).
@@ -173,13 +188,21 @@ Workload make_workload(ModelId id, const WorkloadOptions& options) {
     w.graph = build_model(id, w.act, w.weights);
   }
 
-  // --- Profiling stream: a random subset (~20%) of the training data. ----
-  const std::size_t n_prof =
-      std::min(options.profile_samples, split.train.samples.size());
-  w.profile_feeds = split.train.feeds(w.input_name, n_prof);
+  // --- Profiling stream: the first profile_samples training samples. -----
+  // The paper profiles a random ~20% of the training set (§V-A); this is a
+  // fixed prefix covering 4-33% of train_n depending on the model.  0 means
+  // the whole training range (the Dataset::feeds convention).
+  const std::size_t n_prof = options.profile_samples == 0
+                                 ? train_n
+                                 : std::min(options.profile_samples, train_n);
+  w.profile_feeds =
+      train_set ? train_set->feeds(w.input_name, n_prof)
+                : make_dataset(id, n_prof, options.seed, 0)
+                      .feeds(w.input_name, n_prof);
 
   // --- Validation + eval inputs. ------------------------------------------
-  w.validation = std::move(split.validation);
+  w.validation =
+      make_dataset(id, options.validation_samples, options.seed, train_n);
 
   // The paper injects into inputs the model classifies *correctly* in the
   // fault-free run — in a trained network those are the confident inputs.

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
 
 #include "core/flops_profiler.hpp"
 #include "core/range_profiler.hpp"
@@ -9,6 +12,8 @@
 #include "fi/campaign.hpp"
 #include "graph/builder.hpp"
 #include "util/metrics.hpp"
+#include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace rangerpp::core {
 namespace {
@@ -105,6 +110,147 @@ TEST(RangeProfiler, AnalyticBoundsForTanhSigmoid) {
   EXPECT_FLOAT_EQ(bounds.at("tanh").up, 1.0f);
   EXPECT_FLOAT_EQ(bounds.at("sigmoid").low, 0.0f);
   EXPECT_FLOAT_EQ(bounds.at("sigmoid").up, 1.0f);
+}
+
+// Two-conv net with seeded random weights: `act1` after the first conv,
+// `act2` after the second.
+graph::Graph two_act_net(ops::OpKind act1, ops::OpKind act2) {
+  util::Rng rng(17);
+  const auto random = [&rng](Shape shape) {
+    Tensor t(shape);
+    for (float& v : t.mutable_values())
+      v = static_cast<float>(rng.normal(0.0, 0.6));
+    return t;
+  };
+  GraphBuilder b;
+  b.input("input", Shape{1, 6, 6, 2});
+  b.conv2d("conv1", random(Shape{3, 3, 2, 4}), random(Shape{4}),
+           {1, 1, ops::Padding::kSame});
+  b.activation("act1", act1);
+  b.conv2d("conv2", random(Shape{3, 3, 4, 4}), random(Shape{4}),
+           {1, 1, ops::Padding::kSame});
+  b.activation("act2", act2);
+  b.flatten("flatten");
+  return b.finish();
+}
+
+std::vector<fi::Feeds> random_feeds(std::size_t n) {
+  util::Rng rng(99);
+  std::vector<fi::Feeds> feeds;
+  for (std::size_t i = 0; i < n; ++i) {
+    Tensor t(Shape{1, 6, 6, 2});
+    for (float& v : t.mutable_values())
+      v = static_cast<float>(rng.normal(0.0, 1.0));
+    feeds.push_back({{"input", t}});
+  }
+  return feeds;
+}
+
+struct ReferenceLayer {
+  util::RunningRange range;
+  util::Reservoir reservoir;
+};
+
+// Serial reference profiler: one arena, one pass over the stream in
+// order, the hook feeding each non-analytic activation layer's
+// RunningRange and Reservoir value by value.
+std::map<std::string, ReferenceLayer> serial_reference(
+    const graph::Graph& g, const std::vector<fi::Feeds>& samples,
+    const ProfileOptions& o) {
+  std::map<std::string, ReferenceLayer> layers;
+  for (const graph::Node& n : g.nodes()) {
+    const ops::OpKind k = n.op->kind();
+    if (!ops::is_activation(k) || k == ops::OpKind::kTanh ||
+        k == ops::OpKind::kSigmoid || k == ops::OpKind::kRelu6)
+      continue;
+    layers.emplace(
+        n.name,
+        ReferenceLayer{{},
+                       util::Reservoir(o.reservoir_capacity,
+                                       util::derive_seed(
+                                           o.seed, static_cast<std::uint64_t>(
+                                                       n.id)))});
+  }
+  const graph::Executor exec({tensor::DType::kFloat32});
+  const graph::ExecutionPlan plan(g, tensor::DType::kFloat32);
+  graph::Arena arena;
+  for (const fi::Feeds& feeds : samples)
+    exec.run(plan, feeds, arena,
+             [&layers](const graph::Node& node, Tensor& out) {
+               const auto it = layers.find(node.name);
+               if (it == layers.end()) return;
+               for (float v : out.values()) {
+                 it->second.range.observe(v);
+                 it->second.reservoir.observe(v);
+               }
+             });
+  return layers;
+}
+
+// The bound RangeProfile::bounds derives from one layer's statistics.
+Bound reference_bound(const ReferenceLayer& l, double q) {
+  if (q >= 100.0) return {l.range.min_value, l.range.max_value};
+  const auto sample = l.reservoir.values();
+  const float up = static_cast<float>(util::percentile(sample, q));
+  const float low =
+      l.range.min_value >= 0.0f
+          ? l.range.min_value
+          : static_cast<float>(util::percentile(sample, 100.0 - q));
+  return {low, up};
+}
+
+bool same_bits(float a, float b) {
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+TEST(RangeProfiler, ParallelProfileMatchesSerialReference) {
+  ProfileOptions opts;
+  // Smaller than one sample's activations, so reservoir replacement
+  // depends on the order values arrive in.
+  opts.reservoir_capacity = 64;
+  const graph::Graph relu_net =
+      two_act_net(ops::OpKind::kRelu, ops::OpKind::kRelu);
+  const graph::Graph tanh_net =
+      two_act_net(ops::OpKind::kTanh, ops::OpKind::kElu);
+  for (const graph::Graph* g : {&relu_net, &tanh_net}) {
+    // 37 is not a multiple of the profiler's sample chunk.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{37}}) {
+      const std::vector<fi::Feeds> feeds = random_feeds(n);
+      const auto ref = serial_reference(*g, feeds, opts);
+      const RangeProfile prof = RangeProfiler{opts}.profile(*g, feeds);
+      for (const auto& [name, want] : ref) {
+        SCOPED_TRACE(name + " with " + std::to_string(n) + " samples");
+        const RangeProfile::LayerStats& got = prof.layers().at(name);
+        EXPECT_EQ(got.range.count, want.range.count);
+        EXPECT_TRUE(same_bits(got.range.min_value, want.range.min_value));
+        EXPECT_TRUE(same_bits(got.range.max_value, want.range.max_value));
+        EXPECT_EQ(got.reservoir.seen(), want.reservoir.seen());
+        const auto a = got.reservoir.values();
+        const auto b = want.reservoir.values();
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                  0);
+      }
+      for (const double q : {100.0, 99.9}) {
+        ProfileOptions at_q = opts;
+        at_q.percentile = q;
+        const Bounds from_profile = prof.bounds(q);
+        const Bounds derived = RangeProfiler{at_q}.derive_bounds(*g, feeds);
+        ASSERT_EQ(derived.size(), from_profile.size());
+        for (const auto& [name, b] : derived) {
+          SCOPED_TRACE(name + " at p" + std::to_string(q) + " with " +
+                       std::to_string(n) + " samples");
+          const auto it = ref.find(name);
+          const Bound want = it == ref.end() ? Bound{-1.0f, 1.0f}  // tanh
+                                             : reference_bound(it->second, q);
+          EXPECT_TRUE(same_bits(b.low, want.low));
+          EXPECT_TRUE(same_bits(b.up, want.up));
+          EXPECT_TRUE(same_bits(from_profile.at(name).low, want.low));
+          EXPECT_TRUE(same_bits(from_profile.at(name).up, want.up));
+        }
+      }
+    }
+  }
 }
 
 // ---- RangerTransform ---------------------------------------------------------

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 
 #include "data/synthetic.hpp"
 
@@ -164,11 +166,38 @@ TEST(Dataset, FeedsConversion) {
   EXPECT_EQ(ds.feeds("input").size(), 10u);  // n=0 -> all
 }
 
-TEST(Split, PrefixSplit) {
-  Split s = split(synthetic_digits(10, 2), 7);
-  EXPECT_EQ(s.train.samples.size(), 7u);
-  EXPECT_EQ(s.validation.samples.size(), 3u);
-  EXPECT_THROW(split(synthetic_digits(5, 2), 5), std::invalid_argument);
+// Generating the index range [first, first + n) must reproduce exactly
+// those samples of a longer generation from index 0, byte for byte:
+// callers synthesise only the ranges they read (training, profiling,
+// validation) and rely on the pieces agreeing with the whole stream.
+void expect_same_samples(const Dataset& whole, std::size_t first,
+                         const Dataset& range) {
+  for (std::size_t k = 0; k < range.samples.size(); ++k) {
+    const Sample& want = whole.samples[first + k];
+    const Sample& got = range.samples[k];
+    SCOPED_TRACE("sample " + std::to_string(first + k));
+    EXPECT_EQ(got.label, want.label);
+    EXPECT_EQ(std::memcmp(&got.angle, &want.angle, sizeof(float)), 0);
+    ASSERT_EQ(got.image.shape(), want.image.shape());
+    const auto a = got.image.values();
+    const auto b = want.image.values();
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  }
+}
+
+TEST(Synthetic, RangeGenerationMatchesALongerRun) {
+  constexpr std::size_t kTotal = 23, kFirst = 9, kN = 11;
+  expect_same_samples(synthetic_digits(kTotal, 4), kFirst,
+                      synthetic_digits(kN, 4, kFirst));
+  expect_same_samples(synthetic_objects(kTotal, 43, 12, 10, 4), kFirst,
+                      synthetic_objects(kN, 43, 12, 10, 4, kFirst));
+  expect_same_samples(synthetic_driving(kTotal, 33, 80, 4), kFirst,
+                      synthetic_driving(kN, 33, 80, 4, kFirst));
+  // The tail of the stream and a single sample too.
+  expect_same_samples(synthetic_digits(kTotal, 4), kTotal - 1,
+                      synthetic_digits(1, 4, kTotal - 1));
+  EXPECT_TRUE(synthetic_objects(0, 10, 8, 8, 4, kFirst).samples.empty());
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <string>
 
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
@@ -10,6 +13,7 @@
 #include "models/weights.hpp"
 #include "models/workload.hpp"
 #include "models/zoo.hpp"
+#include "util/metrics.hpp"
 
 namespace rangerpp::models {
 namespace {
@@ -164,6 +168,51 @@ TEST(Workload, UntrainedClassifierWorkload) {
   const Executor exec;
   const Tensor out = exec.run(w.graph, w.eval_feeds[0]);
   EXPECT_EQ(out.elements(), 10u);
+}
+
+TEST(Workload, UntrainedWorkloadSynthesisesOnlyTheSamplesItReads) {
+  // Without a weight-cache miss nothing trains, so the training range
+  // beyond the profiling prefix is never synthesised: VGG16's 5000-sample
+  // training set costs only its 200 profiling samples.
+  WorkloadOptions opt;
+  opt.trained = false;
+  const bool was_enabled = util::metrics::enabled();
+  util::metrics::set_enabled(true);
+  util::metrics::reset();
+  const Workload w = make_workload(ModelId::kVgg16, opt);
+  const std::uint64_t synthesised =
+      util::metrics::counter_value("data.samples");
+  util::metrics::reset();
+  util::metrics::set_enabled(was_enabled);
+  EXPECT_EQ(synthesised, opt.profile_samples + opt.validation_samples);
+  EXPECT_EQ(synthesised, 400u);
+  EXPECT_EQ(w.profile_feeds.size(), opt.profile_samples);
+  EXPECT_EQ(w.validation.samples.size(), opt.validation_samples);
+}
+
+TEST(Workload, WeightCachePathIsKeyedBySeed) {
+  namespace fs = std::filesystem;
+  const auto file = [](ModelId id, ops::OpKind act, std::uint64_t seed,
+                       const std::string& part) {
+    return fs::path(weight_cache_path(id, act, seed, part))
+        .filename()
+        .string();
+  };
+  // The default seed keeps the seedless names existing caches use.
+  EXPECT_EQ(file(ModelId::kLeNet, ops::OpKind::kRelu, kDefaultWorkloadSeed,
+                 ""),
+            "LeNet_relu.bin");
+  EXPECT_EQ(file(ModelId::kVgg16, ops::OpKind::kRelu, 2021, "head"),
+            "VGG16_relu_head.bin");
+  // Any other seed trains on other data, so it gets its own files.
+  EXPECT_EQ(file(ModelId::kLeNet, ops::OpKind::kRelu, 7, ""),
+            "LeNet_relu_s7.bin");
+  EXPECT_EQ(file(ModelId::kVgg16, ops::OpKind::kTanh, 7, "head"),
+            "VGG16_tanh_s7_head.bin");
+  EXPECT_EQ(fs::path(weight_cache_path(ModelId::kLeNet, ops::OpKind::kRelu,
+                                       2021))
+                .parent_path(),
+            fs::path(weight_cache_dir()));
 }
 
 TEST(Workload, JudgesMatchModelKind) {

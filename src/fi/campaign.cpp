@@ -454,74 +454,4 @@ CampaignResult Campaign::run(const graph::Graph& g,
   return run_multi(g, inputs, {alias})[0];
 }
 
-std::vector<Campaign::PairedOutcome> Campaign::run_paired(
-    const graph::Graph& unprotected, const graph::Graph& protected_g,
-    const std::vector<Feeds>& inputs, const SdcJudge& judge,
-    const std::function<bool(const graph::Graph&, const Feeds&,
-                             const FaultSet&)>& detector) const {
-  if (inputs.empty()) throw std::invalid_argument("Campaign: no inputs");
-  // Fault sites are planned on the *unprotected* graph so both runs see the
-  // identical fault (Ranger's clamp nodes are extra, never-faulted ops —
-  // conservative for Ranger, as the paper also injects into them; the
-  // single-graph `run` API does include clamp outputs).  The Ranger
-  // transform preserves node names, so those sites resolve to injection
-  // roots on the protected plan too, and its restriction (`/ranger`) nodes
-  // are swept into the recompute set by the protected plan's own
-  // reachability relation.
-  const TrialPlanner planner(unprotected, config_, inputs.size());
-  const std::size_t total = planner.total_trials();
-  const unsigned workers = util::worker_count(total, config_.threads);
-  // The paired loop runs trial-by-trial (two graphs per trial), so the
-  // executors skip the batched-plan setup entirely.
-  CampaignConfig paired_config = config_;
-  paired_config.batch = 1;
-  const TrialExecutor exec_u(unprotected, paired_config, inputs, workers);
-  const TrialExecutor exec_p(protected_g, paired_config, inputs, workers);
-
-  std::vector<PairedOutcome> outcomes(total);
-  const auto judge_pair = [&](std::size_t t, const TrialSpec& spec,
-                              const tensor::Tensor& out_u,
-                              const tensor::Tensor& out_p) {
-    PairedOutcome& o = outcomes[t];
-    o.sdc_unprotected =
-        judge.is_sdc(exec_u.golden_output(spec.input), out_u);
-    o.sdc_protected =
-        judge.is_sdc(exec_p.golden_output(spec.input), out_p);
-    if (detector)
-      o.detected = detector(protected_g, inputs[spec.input], spec.faults);
-  };
-  if (config_.fault_class == FaultClass::kWeight) {
-    // One parallel task per fault: persistent faults replay on each twin
-    // through its own const patch (resolved by name — the transform
-    // preserves them), built once per fault and swept over every input.
-    util::parallel_for_workers(
-        config_.trials_per_input,
-        [&](unsigned worker, std::size_t f) {
-          const std::size_t base = f * inputs.size();
-          const TrialSpec first = planner.plan(base);
-          const TrialExecutor::PatchedConsts patch_u =
-              exec_u.patch_consts(first.applied);
-          const TrialExecutor::PatchedConsts patch_p =
-              exec_p.patch_consts(first.applied);
-          for (std::size_t i = 0; i < inputs.size(); ++i) {
-            const TrialSpec spec = planner.plan(base + i);
-            judge_pair(base + i, spec,
-                       exec_u.run_weight_trial(worker, spec.input, patch_u),
-                       exec_p.run_weight_trial(worker, spec.input, patch_p));
-          }
-        },
-        config_.threads);
-    return outcomes;
-  }
-  util::parallel_for_workers(
-      total,
-      [&](unsigned worker, std::size_t t) {
-        const TrialSpec spec = planner.plan(t);
-        judge_pair(t, spec, exec_u.run_trial(worker, spec.input, spec.faults),
-                   exec_p.run_trial(worker, spec.input, spec.faults));
-      },
-      config_.threads);
-  return outcomes;
-}
-
 }  // namespace rangerpp::fi

@@ -17,7 +17,6 @@
 // stopping on top of the same layers.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -300,26 +299,6 @@ class Campaign {
   std::vector<CampaignResult> run_multi(
       const graph::Graph& g, const std::vector<Feeds>& inputs,
       const std::vector<JudgePtr>& judges) const;
-
-  // Paired run: evaluates the same sampled fault sets on both graphs
-  // (matched by node name), returning per-trial outcomes.  Used for the
-  // technique-comparison experiment (Table VI), where coverage is the
-  // fraction of baseline-SDC trials that the protected/detected variant
-  // rectifies or flags.
-  struct PairedOutcome {
-    bool sdc_unprotected = false;
-    bool sdc_protected = false;
-    bool detected = false;  // set when a detector hook is supplied
-  };
-  // `detector` (optional) runs on the protected graph and returns whether
-  // the fault was detected for that trial.
-  using DetectorFactory = std::function<std::function<bool(
-      const graph::Graph&, const Feeds&, const FaultSet&)>()>;
-  std::vector<PairedOutcome> run_paired(
-      const graph::Graph& unprotected, const graph::Graph& protected_g,
-      const std::vector<Feeds>& inputs, const SdcJudge& judge,
-      const std::function<bool(const graph::Graph&, const Feeds&,
-                               const FaultSet&)>& detector = nullptr) const;
 
   const CampaignConfig& config() const { return config_; }
 

@@ -74,7 +74,7 @@ struct RunnerConfig {
 
 // Everything one run() invocation needs beyond the runner config.  The
 // default (only plan_graph set) is the classic single-graph campaign;
-// the optional fields exist for the suite orchestrator, which shares
+// the optional fields exist for EngineCache::run_cell, which shares
 // compiled state across many cells:
 //
 //  * exec_graph — trials execute here while fault sites are planned on

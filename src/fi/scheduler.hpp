@@ -14,14 +14,12 @@
 //    (campaign fingerprint, trial index) alone, so the merged stream is
 //    byte-identical to a one-shot suite_cli run regardless of worker
 //    count, steal order, or where a slice boundary fell.
-//  * Shared engine caches — workloads (models::WorkloadCache, now safe
-//    for concurrent readers), derived bounds, Ranger-protected graphs,
-//    compiled TrialExecutors and unprotected goldens are shared across
-//    *requests*, keyed by everything that determines them (seed,
-//    inputs, model, act, dtype, variant) and built at most once under
-//    per-entry once_flags.  Executors are sized with one arena per
-//    scheduler worker; a runner slice pins itself to its worker's arena
-//    via RunContext::worker_base.
+//  * Shared engine caches — one EngineCache (engine_cache.hpp), the
+//    one fi::Suite uses, shares workloads, bounds, protected graphs,
+//    compiled executors and paired goldens across *requests*, and every
+//    slice runs its cell through EngineCache::run_cell.  Executors are
+//    sized with one arena per scheduler worker; a slice pins itself to
+//    its worker's arena via RunContext::worker_base.
 //  * Streaming — each slice's newly available records are handed to the
 //    request's RecordSink (scheduler_cli forwards them to the client as
 //    binary codec frames) together with the cell's export-form header.
@@ -197,7 +195,6 @@ class Scheduler {
   std::string stats_json();
 
  private:
-  struct Engine;   // shared cross-request caches (scheduler.cpp)
   struct Request;  // per-request state (scheduler.cpp)
   struct Unit;     // one (request, cell, partition) work unit
 
@@ -221,7 +218,7 @@ class Scheduler {
 
   SchedulerConfig config_;
   unsigned workers_ = 1;
-  std::unique_ptr<Engine> engine_;
+  EngineCache engine_;  // shared across requests
 
   mutable util::Mutex requests_mu_;
   std::uint64_t next_id_ RANGERPP_GUARDED_BY(requests_mu_) = 1;

@@ -7,11 +7,10 @@
 //  * SuiteSpec describes the grid; compile_suite() expands it into an
 //    ordered list of cells, each with a suite-global trial offset, so
 //    the whole suite is one deterministic trial stream.
-//  * Expensive state is built once and shared: models::Workload
-//    construction (training / weight loading), derived restriction
-//    bounds, Ranger-protected graphs, and compiled TrialExecutors
-//    (ExecutionPlans + goldens) are cached per (model, act[, dtype])
-//    and reused by every fault-model/technique cell.
+//  * Expensive state is built once and shared through an EngineCache
+//    (engine_cache.hpp) — workloads, restriction bounds, Ranger-protected
+//    graphs, compiled TrialExecutors and paired goldens — and every cell
+//    runs through its run_cell(), the path the scheduler daemon uses too.
 //  * Each cell executes on the existing CampaignRunner, so per-cell
 //    JSONL checkpoints, deterministic sharding and Wilson-CI early
 //    stopping compose for free.  Suite-level `--shard i/N` partitions
@@ -33,15 +32,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "core/bounds.hpp"
+#include "fi/engine_cache.hpp"
 #include "fi/runner.hpp"
 #include "models/workload.hpp"
 
@@ -135,8 +132,8 @@ struct SuiteSpec {
   // <name>.<cell-id>.s<shard>of<count>.jsonl.
   std::string checkpoint_dir;
 
-  // Run the static plan verifier (graph/verify.hpp) on every cell's
-  // compiled plans, even in release builds (CampaignConfig::verify_plan).
+  // Run the static plan verifier (graph/verify.hpp) on every plan the
+  // Suite's EngineCache compiles, even in release builds.
   // A local execution knob, not part of the request: it is excluded from
   // the spec wire format — the scheduler daemon's equivalent is the
   // serve-side SchedulerConfig::verify_plans.
@@ -206,8 +203,8 @@ class Suite {
  public:
   // `shared_workloads` (optional) lets several suites — or a suite and a
   // bench evaluating extra techniques — share one workload cache; it
-  // must outlive the Suite.  Its options' eval_inputs/seed are
-  // overridden from the spec only when the cache is owned internally.
+  // must outlive the Suite, and its options' seed/eval_inputs must match
+  // the spec (else the constructor throws).
   explicit Suite(SuiteSpec spec,
                  models::WorkloadCache* shared_workloads = nullptr);
 
@@ -223,30 +220,19 @@ class Suite {
   SuiteResult merge(const std::vector<std::string>& dirs) const;
 
   models::WorkloadCache& workloads() {
-    return shared_ ? *shared_ : *owned_;
+    return engine_.workloads(plan_.spec.seed, plan_.spec.inputs);
   }
   // Cached Ranger state, shared across every cell of (model, act).
-  const core::Bounds& bounds(models::ModelId id, ops::OpKind act);
-  const graph::Graph& protected_graph(models::ModelId id, ops::OpKind act);
+  const core::Bounds& bounds(models::ModelId id, ops::OpKind act) {
+    return engine_.bounds(plan_.spec, id, act);
+  }
+  const graph::Graph& protected_graph(models::ModelId id, ops::OpKind act) {
+    return engine_.protected_graph(plan_.spec, id, act);
+  }
 
  private:
-  const TrialExecutor& executor(const SuiteCell& cell,
-                                const graph::Graph& g,
-                                const std::vector<Feeds>& inputs,
-                                bool is_protected);
-  const std::vector<tensor::Tensor>& unprotected_goldens(
-      const SuiteCell& cell);
-
   SuitePlan plan_;
-  models::WorkloadCache* shared_ = nullptr;
-  std::unique_ptr<models::WorkloadCache> owned_;
-  std::map<std::pair<int, int>, core::Bounds> bounds_;
-  std::map<std::pair<int, int>, graph::Graph> protected_;
-  // (model, act, protected?, dtype) → compiled plans + goldens.
-  std::map<std::tuple<int, int, int, int>, std::unique_ptr<TrialExecutor>>
-      executors_;
-  std::map<std::tuple<int, int, int>, std::vector<tensor::Tensor>>
-      goldens_;
+  EngineCache engine_;
 };
 
 // ---- Manifest ---------------------------------------------------------------

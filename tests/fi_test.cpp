@@ -5,6 +5,7 @@
 
 #include "fi/campaign.hpp"
 #include "fi/fault_model.hpp"
+#include "fi/runner.hpp"
 #include "fi/sdc.hpp"
 #include "graph/builder.hpp"
 
@@ -226,19 +227,29 @@ TEST(Campaign, PairedRunReplaysIdenticalFaults) {
   const graph::Graph clone = g.clone();
   const std::vector<Feeds> inputs{
       {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}};
-  CampaignConfig cfg;
-  cfg.trials_per_input = 100;
-  const Campaign c(cfg);
+  RunnerConfig rc;
+  rc.campaign.trials_per_input = 100;
+  const CampaignRunner runner(rc);
   class Dev1Judge final : public SdcJudge {
    public:
     bool is_sdc(const Tensor& g, const Tensor& f) const override {
       return std::abs(g.at(0) - f.at(0)) > 1.0f;
     }
-  } judge;
-  const auto outcomes = c.run_paired(g, clone, inputs, judge);
-  EXPECT_EQ(outcomes.size(), 100u);
-  for (const auto& o : outcomes)
-    EXPECT_EQ(o.sdc_unprotected, o.sdc_protected);
+  };
+  const std::vector<JudgePtr> judges{std::make_shared<Dev1Judge>()};
+  // Faults planned on `g` and replayed on the clone, each side judged
+  // against its own goldens; the two runs join on the trial index.
+  const CampaignReport plain = runner.run(g, inputs, judges);
+  RunContext ctx;
+  ctx.plan_graph = &g;
+  ctx.exec_graph = &clone;
+  const CampaignReport paired = runner.run(ctx, inputs, judges);
+  ASSERT_EQ(plain.records.size(), 100u);
+  ASSERT_EQ(paired.records.size(), 100u);
+  for (std::size_t i = 0; i < plain.records.size(); ++i) {
+    ASSERT_EQ(plain.records[i].trial, paired.records[i].trial);
+    EXPECT_EQ(plain.records[i].sdc_mask, paired.records[i].sdc_mask);
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
 #include "fi/campaign.hpp"
+#include "fi/runner.hpp"
 #include "graph/dot_export.hpp"
 #include "models/workload.hpp"
 
@@ -59,17 +60,29 @@ TEST(Integration, RangerNeverIncreasesSdcOnPairedTrials) {
   // version: protected SDC count <= unprotected SDC count + slack for the
   // clamp ops' own (new) fault sites.
   const Pipeline p = build_pipeline(ModelId::kComma);
-  fi::CampaignConfig cc;
-  cc.trials_per_input = 300;
-  cc.seed = 6;
-  const fi::Campaign campaign(cc);
-  const fi::SteeringJudge judge(30.0, false);
-  const auto outcomes = campaign.run_paired(
-      p.workload.graph, p.protected_graph, p.workload.eval_feeds, judge);
+  fi::RunnerConfig rc;
+  rc.campaign.trials_per_input = 300;
+  rc.campaign.seed = 6;
+  const fi::CampaignRunner runner(rc);
+  const std::vector<fi::JudgePtr> judges{
+      std::make_shared<fi::SteeringJudge>(30.0, false)};
+  // Two runs over one fault stream (planned on the unprotected graph),
+  // each judged against its own goldens, joined on the trial index.
+  const fi::CampaignReport plain =
+      runner.run(p.workload.graph, p.workload.eval_feeds, judges);
+  fi::RunContext ctx;
+  ctx.plan_graph = &p.workload.graph;
+  ctx.exec_graph = &p.protected_graph;
+  const fi::CampaignReport paired =
+      runner.run(ctx, p.workload.eval_feeds, judges);
+  ASSERT_EQ(plain.records.size(), paired.records.size());
   std::size_t worse = 0, improved = 0;
-  for (const auto& o : outcomes) {
-    if (o.sdc_protected && !o.sdc_unprotected) ++worse;
-    if (!o.sdc_protected && o.sdc_unprotected) ++improved;
+  for (std::size_t i = 0; i < plain.records.size(); ++i) {
+    ASSERT_EQ(plain.records[i].trial, paired.records[i].trial);
+    const bool sdc_unprotected = plain.records[i].sdc_mask != 0;
+    const bool sdc_protected = paired.records[i].sdc_mask != 0;
+    if (sdc_protected && !sdc_unprotected) ++worse;
+    if (!sdc_protected && sdc_unprotected) ++improved;
   }
   EXPECT_GT(improved, 10u);
   EXPECT_LT(worse, improved / 5 + 3);

@@ -633,6 +633,33 @@ TEST(SchedulerRetention, ExportRacingReleaseIsAllOrNothing) {
   }
 }
 
+// The daemon's engine caches report through the same cache.<which>
+// counters as the one-shot suite: one build per distinct entry, hits for
+// every later slice and request that reuses it.
+TEST(SchedulerEngine, CachesReportBuildsAndHits) {
+  util::metrics::set_enabled(true);
+  util::metrics::reset();
+  {
+    SchedulerConfig cfg;
+    cfg.workers = 2;
+    Scheduler sched(cfg, &shared_cache());
+    sched.wait(sched.submit(tiny_spec("cache_a")));
+    sched.wait(sched.submit(tiny_spec("cache_b")));
+  }
+  const std::uint64_t executor_builds =
+      util::metrics::counter_value("cache.executor.build");
+  const std::uint64_t executor_hits =
+      util::metrics::counter_value("cache.executor.hit");
+  const std::uint64_t bounds_builds =
+      util::metrics::counter_value("cache.bounds.build");
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
+  // LeNet {unprotected, ranger} at fixed32: two (variant, dtype) pairs.
+  EXPECT_EQ(executor_builds, 2u);
+  EXPECT_GT(executor_hits, 0u);
+  EXPECT_EQ(bounds_builds, 1u);
+}
+
 TEST(SchedulerEngine, WorkloadCacheConcurrentGetIsSafe) {
   // TSan regression for the find-or-insert + per-entry once_flag cache:
   // concurrent get() for the same and different keys must race-free

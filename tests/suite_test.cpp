@@ -136,12 +136,42 @@ TEST(Suite, WorkloadAndExecutorStateIsSharedAcrossCells) {
   SuiteSpec spec = tiny_spec("cache");
   spec.dtypes = {tensor::DType::kFixed32, tensor::DType::kFixed16};
   spec.faults = {{1, false}, {2, false}};
+  util::metrics::set_enabled(true);
+  util::metrics::reset();
   Suite suite(spec);
   const SuiteResult result = suite.run();
+  const std::uint64_t bounds_builds =
+      util::metrics::counter_value("cache.bounds.build");
+  const std::uint64_t protected_builds =
+      util::metrics::counter_value("cache.protected.build");
+  const std::uint64_t executor_builds =
+      util::metrics::counter_value("cache.executor.build");
+  util::metrics::set_enabled(false);
+  util::metrics::reset();
   EXPECT_EQ(result.cells.size(), 8u);
   // 8 cells, one workload construction; bounds/protected graph built
-  // once per (model, act) regardless of dtype/fault/technique count.
+  // once per (model, act) regardless of dtype/fault/technique count, and
+  // one executor per (variant, dtype): {plain, protected} × 2 dtypes.
   EXPECT_EQ(suite.workloads().size(), 1u);
+  EXPECT_EQ(bounds_builds, 1u);
+  EXPECT_EQ(protected_builds, 1u);
+  EXPECT_EQ(executor_builds, 4u);
+}
+
+// SuiteSpec::verify_plan reaches the executors the suite compiles: their
+// plans run the verify_plan compile stage even in Release builds, where
+// compilation skips it by default.
+TEST(Suite, VerifyPlanRunsTheVerifierOnCompiledPlans) {
+  SuiteSpec spec = tiny_spec("verify");
+  spec.verify_plan = true;
+  const std::string trace_path =
+      testing::TempDir() + "/suite_verify_trace.json";
+  ASSERT_TRUE(util::trace::start(trace_path));
+  Suite(spec).run();
+  ASSERT_TRUE(util::trace::stop_and_flush());
+  const std::string trace_json = slurp(trace_path);
+  std::filesystem::remove(trace_path);
+  EXPECT_NE(trace_json.find("\"compile.verify_plan\""), std::string::npos);
 }
 
 TEST(Suite, ShardedRunsMergeBitIdenticalToUnsharded) {

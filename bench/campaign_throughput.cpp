@@ -50,8 +50,9 @@ Measurement run_campaign(const models::Workload& w,
   cc.partial_reexecution = partial;
   const auto judges = models::default_judges(w.id);
   util::Timer timer;
-  const auto results =
-      fi::Campaign(cc).run_multi(w.graph, w.eval_feeds, judges);
+  const auto results = fi::CampaignRunner({.campaign = cc})
+                           .run(w.graph, w.eval_feeds, judges)
+                           .aggregate;
   Measurement m;
   m.seconds = timer.elapsed_seconds();
   m.trials = results[0].trials;
@@ -141,9 +142,11 @@ Measurement run_conv_campaign(const graph::Graph& g,
                                    // kernel-stress configuration
   cc.backend = backend;
   cc.batch = batch;
-  const fi::Top1Judge judge;
   util::Timer timer;
-  const fi::CampaignResult r = fi::Campaign(cc).run(g, inputs, judge);
+  const fi::CampaignResult r =
+      fi::CampaignRunner({.campaign = cc})
+          .run(g, inputs, {std::make_shared<fi::Top1Judge>()})
+          .aggregate[0];
   Measurement m;
   m.seconds = timer.elapsed_seconds();
   m.trials = r.trials;

@@ -121,11 +121,11 @@ inline ProtectedWorkload make_protected(models::ModelId id,
   return pw;
 }
 
-// Campaign driver shared by the SDC figures: the sharded CampaignRunner
-// over the model's default judges.  With RANGERPP_SHARD unset this
-// executes the identical deterministic trial stream the in-process
-// fi::Campaign would (bit-identical counts); with it set, this process
-// contributes its shard and the printed rates are the shard's estimate.
+// Campaign driver shared by the SDC figures: CampaignRunner over the
+// model's default judges, in memory.  With RANGERPP_SHARD unset this
+// executes the campaign's whole deterministic trial stream; with it set,
+// this process contributes its shard and the printed rates are the
+// shard's estimate.
 inline fi::CampaignReport run_sdc_campaign(const graph::Graph& g,
                                            const models::Workload& base,
                                            const BenchConfig& cfg,

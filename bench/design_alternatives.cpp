@@ -67,6 +67,7 @@ int main() {
   const bench::BenchConfig cfg;
   bench::print_header("Restriction-policy design alternatives",
                       "Section VI-C");
+  bench::print_shard_note(cfg);
 
   for (const models::ModelId id :
        {models::ModelId::kVgg16, models::ModelId::kLeNet}) {
@@ -87,17 +88,15 @@ int main() {
                 models::model_name(id).c_str(), exceeding.size(),
                 w.validation.samples.size());
 
-    fi::CampaignConfig cc;
-    cc.dtype = tensor::DType::kFixed32;
-    cc.trials_per_input = cfg.trials_for(id);
-    cc.seed = cfg.seed;
-    const fi::Campaign campaign(cc);
-    const auto judges = models::default_judges(id);
+    const auto campaign = [&](const graph::Graph& g) {
+      return bench::run_sdc_campaign(g, w, cfg, tensor::DType::kFixed32)
+          .aggregate;
+    };
     const graph::Executor exec({tensor::DType::kFloat32});
 
     util::Table table({"policy", "pred. changes on exceeding inputs",
                        "SDC rate (%)"});
-    const auto base = campaign.run_multi(w.graph, w.eval_feeds, judges);
+    const auto base = campaign(w.graph);
     table.add_row({"Unprotected", "-", bench::pct_pm(base[0])});
 
     for (const PolicyDef& p : kPolicies) {
@@ -111,7 +110,7 @@ int main() {
             graph::argmax(exec.run(protected_g, feeds)))
           ++changed;
       }
-      const auto r = campaign.run_multi(protected_g, w.eval_feeds, judges);
+      const auto r = campaign(protected_g);
       table.add_row(
           {p.name,
            std::to_string(changed) + " / " + std::to_string(exceeding.size()),

@@ -11,6 +11,7 @@ int main() {
   const bench::BenchConfig cfg;
   bench::print_header(
       "Dave-degrees: restriction-bound percentile sweep", "Fig. 10 + Table V");
+  bench::print_shard_note(cfg);
 
   models::WorkloadOptions wo;
   wo.eval_inputs = cfg.inputs;
@@ -22,15 +23,13 @@ int main() {
   const core::RangeProfile profile =
       core::RangeProfiler{}.profile(w.graph, w.profile_feeds);
 
-  fi::CampaignConfig cc;
-  cc.dtype = tensor::DType::kFixed32;
-  cc.trials_per_input = cfg.trials_for(w.id);
-  cc.seed = cfg.seed;
-  const fi::Campaign campaign(cc);
-  const auto judges = models::default_judges(w.id);
+  const auto campaign = [&](const graph::Graph& g) {
+    return bench::run_sdc_campaign(g, w, cfg, tensor::DType::kFixed32)
+        .aggregate;
+  };
 
   // Baseline (unprotected) row.
-  const auto base = campaign.run_multi(w.graph, w.eval_feeds, judges);
+  const auto base = campaign(w.graph);
   const models::SteeringMetrics base_acc =
       models::steering_metrics(w.graph, w.input_name, w.validation, false);
 
@@ -46,7 +45,7 @@ int main() {
     const core::Bounds bounds = profile.bounds(pct);
     const graph::Graph protected_g =
         core::RangerTransform{}.apply(w.graph, bounds);
-    const auto r = campaign.run_multi(protected_g, w.eval_feeds, judges);
+    const auto r = campaign(protected_g);
     const models::SteeringMetrics acc = models::steering_metrics(
         protected_g, w.input_name, w.validation, false);
     const std::string label = "Bound-" + util::Table::fmt(pct, 1) + "%";

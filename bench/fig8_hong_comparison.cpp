@@ -12,13 +12,8 @@ namespace {
 // Average SDC rate across a model's default judges.
 double avg_sdc_pct(const graph::Graph& g, const models::Workload& w,
                    const bench::BenchConfig& cfg) {
-  fi::CampaignConfig cc;
-  cc.dtype = tensor::DType::kFixed32;
-  cc.trials_per_input = cfg.trials_for(w.id);
-  cc.seed = cfg.seed;
-  const fi::Campaign campaign(cc);
-  const auto judges = models::default_judges(w.id);
-  const auto results = campaign.run_multi(g, w.eval_feeds, judges);
+  const auto results =
+      bench::run_sdc_campaign(g, w, cfg, tensor::DType::kFixed32).aggregate;
   double sum = 0.0;
   for (const auto& r : results) sum += r.sdc_rate_pct();
   return sum / static_cast<double>(results.size());
@@ -35,6 +30,7 @@ int main() {
   const bench::BenchConfig cfg;
   bench::print_header(
       "Relative SDC reduction: Hong et al. (Tanh swap) vs Ranger", "Fig. 8");
+  bench::print_shard_note(cfg);
 
   const models::ModelId ids[] = {
       models::ModelId::kLeNet, models::ModelId::kAlexNet,

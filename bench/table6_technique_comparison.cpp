@@ -43,62 +43,67 @@ struct Row {
   std::size_t count = 0;
 };
 
-// Evaluates one technique on one workload: replays the campaign's fault
-// sets; for trials whose unprotected run is an SDC, counts the trial
-// covered when the technique's output is not an SDC or the fault was
-// detected (detection triggers out-of-band recovery).  Trial generation
-// and the plain (unprotected) run go through the campaign layers
-// (TrialPlanner / TrialExecutor), so the fault stream is the exact one
-// every other campaign entry point draws for this seed.
-void eval_technique(baselines::Technique& tech,
-                    const models::Workload& w,
-                    const bench::BenchConfig& cfg, Row& row) {
-  fi::CampaignConfig cc;
-  cc.dtype = tensor::DType::kFixed32;
-  cc.trials_per_input = cfg.trials_for(w.id) / 2;
-  cc.seed = cfg.seed;
-  const graph::ExecutionPlan plan(w.graph, cc.dtype);
+// The unprotected half of the paired replay, run once per workload: the
+// campaign's trials that are SDCs without protection, and the goldens
+// they were judged against.  The trials come from CampaignRunner, so the
+// fault stream is the exact one every other campaign entry point draws
+// for this seed.
+struct PlainSdcs {
+  std::vector<fi::TrialRecord> trials;
+  std::vector<tensor::Tensor> golden;  // per input
+};
+
+PlainSdcs plain_sdcs(const models::Workload& w,
+                     const bench::BenchConfig& cfg) {
+  fi::RunnerConfig rc;
+  rc.campaign.dtype = tensor::DType::kFixed32;
+  rc.campaign.trials_per_input = cfg.trials_for(w.id) / 2;
+  rc.campaign.seed = cfg.seed;
+  // Honor RANGERPP_SHARD like the campaign figures: this process replays
+  // only its slice of the deterministic trial stream.
+  rc.shard_index = cfg.shard_index;
+  rc.shard_count = cfg.shard_count;
+  const fi::TrialExecutor executor(w.graph, rc.campaign, w.eval_feeds,
+                                   util::default_thread_count());
+  fi::RunContext ctx;
+  ctx.plan_graph = &w.graph;
+  ctx.executor = &executor;
+  PlainSdcs out;
+  for (fi::TrialRecord& r :
+       fi::CampaignRunner(rc)
+           .run(ctx, w.eval_feeds, models::default_judges(w.id))
+           .records)
+    if (r.sdc_mask != 0) out.trials.push_back(std::move(r));
+  for (std::size_t i = 0; i < w.eval_feeds.size(); ++i)
+    out.golden.push_back(executor.golden_output(i));
+  return out;
+}
+
+// Evaluates one technique on one workload: replays the fault sets of the
+// workload's unprotected SDC trials and counts a trial covered when the
+// technique's output is not an SDC or the fault was detected (detection
+// triggers out-of-band recovery).
+void eval_technique(baselines::Technique& tech, const models::Workload& w,
+                    const PlainSdcs& plain, Row& row) {
+  const graph::ExecutionPlan plan(w.graph, tensor::DType::kFixed32);
   tech.prepare(plan, w.profile_feeds);
 
   const auto judges = models::default_judges(w.id);
-  const fi::TrialPlanner planner(w.graph, cc, w.eval_feeds.size());
-  const std::size_t total = planner.total_trials();
-  // Honor RANGERPP_SHARD like the campaign figures: this process replays
-  // only its slice of the deterministic trial stream.
-  std::vector<std::size_t> trial_ids;
-  for (std::size_t t = cfg.shard_index; t < total; t += cfg.shard_count)
-    trial_ids.push_back(t);
-  const unsigned workers = util::worker_count(trial_ids.size());
-  const fi::TrialExecutor executor(w.graph, cc, w.eval_feeds, workers);
-
-  std::vector<graph::Arena> tech_arenas(workers);
-  std::vector<unsigned char> sdc_flags(total, 0), covered_flags(total, 0);
-  util::parallel_for_workers(trial_ids.size(), [&](unsigned worker,
-                                                   std::size_t i) {
-    const std::size_t t = trial_ids[i];
-    const fi::TrialSpec spec = planner.plan(t);
-    const tensor::Tensor& golden = executor.golden_output(spec.input);
-    const tensor::Tensor plain =
-        executor.run_trial(worker, spec.input, spec.faults);
-    bool sdc = false;
-    for (const auto& j : judges)
-      if (j->is_sdc(golden, plain)) sdc = true;
-    if (!sdc) return;
-    sdc_flags[t] = 1;
-
+  const std::size_t sdcs = plain.trials.size();
+  std::vector<graph::Arena> tech_arenas(util::worker_count(sdcs));
+  std::vector<unsigned char> covered_flags(sdcs, 0);
+  util::parallel_for_workers(sdcs, [&](unsigned worker, std::size_t i) {
+    const fi::TrialRecord& r = plain.trials[i];
     const baselines::TrialOutcome o = tech.run_trial(
-        plan, tech_arenas[worker], w.eval_feeds[spec.input], spec.faults);
+        plan, tech_arenas[worker], w.eval_feeds[r.input], r.faults);
     bool still_sdc = false;
     for (const auto& j : judges)
-      if (j->is_sdc(golden, o.output)) still_sdc = true;
-    if (!still_sdc || o.detected) covered_flags[t] = 1;
+      if (j->is_sdc(plain.golden[r.input], o.output)) still_sdc = true;
+    if (!still_sdc || o.detected) covered_flags[i] = 1;
   });
 
-  std::size_t sdcs = 0, covered = 0;
-  for (std::size_t t = 0; t < total; ++t) {
-    sdcs += sdc_flags[t];
-    covered += covered_flags[t];
-  }
+  std::size_t covered = 0;
+  for (const unsigned char c : covered_flags) covered += c;
   if (sdcs > 0) {
     row.coverage_sum += 100.0 * static_cast<double>(covered) /
                         static_cast<double>(sdcs);
@@ -183,11 +188,12 @@ int main() {
     baselines::MlCorrector ml(200, cfg.seed);
     baselines::AbftConv abft;
 
-    eval_technique(tmr, w, cfg, tmr_row);
-    eval_technique(dup, w, cfg, dup_row);
-    eval_technique(sym, w, cfg, sym_row);
-    eval_technique(ml, w, cfg, ml_row);
-    eval_technique(abft, w, cfg, abft_row);
+    const PlainSdcs plain = plain_sdcs(w, cfg);
+    eval_technique(tmr, w, plain, tmr_row);
+    eval_technique(dup, w, plain, dup_row);
+    eval_technique(sym, w, plain, sym_row);
+    eval_technique(ml, w, plain, ml_row);
+    eval_technique(abft, w, plain, abft_row);
   }
 
   // Ranger: join each model's paired cells.

@@ -53,28 +53,24 @@ struct SweepMeasurement {
   std::size_t sdcs = 0;
 };
 
-// The campaign path: consts patched once per fault, partial re-execution
-// from the per-input goldens.
+// The campaign path: a runner over a prebuilt one-arena executor, so it
+// runs single-threaded with its goldens outside the timer (as in the
+// naive mode); consts are patched once per fault, with partial
+// re-execution from the goldens.
 SweepMeasurement run_sweep(const models::Workload& w,
-                           const fi::TrialPlanner& planner,
-                           const fi::CampaignConfig& cc,
-                           std::size_t n_faults) {
+                           const fi::CampaignConfig& cc) {
   const fi::TrialExecutor executor(w.graph, cc, w.eval_feeds, 1);
-  const auto judges = models::default_judges(w.id);
+  fi::RunContext ctx;
+  ctx.plan_graph = &w.graph;
+  ctx.executor = &executor;
   SweepMeasurement m;
   util::Timer timer;
-  for (std::size_t f = 0; f < n_faults; ++f) {
-    const fi::TrialSpec first = planner.plan(f * w.eval_feeds.size());
-    const fi::TrialExecutor::PatchedConsts patch =
-        executor.patch_consts(first.applied);
-    for (std::size_t i = 0; i < w.eval_feeds.size(); ++i) {
-      const tensor::Tensor out = executor.run_weight_trial(0, i, patch);
-      ++m.trials;
-      for (const auto& judge : judges)
-        if (judge->is_sdc(executor.golden_output(i), out)) ++m.sdcs;
-    }
-  }
+  const fi::CampaignReport rep =
+      fi::CampaignRunner({.campaign = cc})
+          .run(ctx, w.eval_feeds, models::default_judges(w.id));
   m.seconds = timer.elapsed_seconds();
+  m.trials = rep.executed();
+  for (const fi::CampaignResult& r : rep.aggregate) m.sdcs += r.sdcs;
   return m;
 }
 
@@ -181,7 +177,7 @@ int main() {
   cc.seed = cfg.seed;
   const fi::TrialPlanner planner(w.graph, cc, w.eval_feeds.size());
 
-  const SweepMeasurement sweep = run_sweep(w, planner, cc, n_faults);
+  const SweepMeasurement sweep = run_sweep(w, cc);
   const SweepMeasurement naive = run_naive(w, planner, cc, n_faults);
   if (sweep.trials != naive.trials || sweep.sdcs != naive.sdcs) {
     std::fprintf(stderr,

@@ -1,6 +1,5 @@
 // Fault-injection campaign engine (the TensorFI-equivalent experiment
-// driver), layered so the in-process Campaign API and the resumable
-// CampaignRunner (runner.hpp) share the exact same deterministic core:
+// driver): the deterministic layers every campaign is built from.
 //
 //  * trial generation  — TrialPlanner: pure function of (config, trial
 //    index) → fault set + input index + stratum, so any subset of trials
@@ -11,10 +10,10 @@
 //  * aggregation       — CampaignResult here for raw counts; the richer
 //    per-stratum / checkpointed reports live in report.hpp.
 //
-// Campaign (below) composes planner + executor over a thread pool and is
-// what the paper-figure benches historically ran on; CampaignRunner adds
-// sharding, JSONL checkpoint/resume and confidence-interval-driven early
-// stopping on top of the same layers.
+// The one trial loop over these layers is CampaignRunner (runner.hpp).
+// An in-process campaign is a runner with an empty checkpoint path: it
+// runs every trial in a single parallel loop and returns per-judge
+// counts in CampaignReport::aggregate.
 #pragma once
 
 #include <memory>
@@ -279,31 +278,6 @@ class TrialExecutor {
   std::vector<std::vector<tensor::Tensor>> batch_golden_;  // per input
   std::vector<Feeds> batch_feeds_;                         // per input
   mutable std::vector<graph::Arena> batch_arenas_;
-};
-
-// ---- In-process campaign API ------------------------------------------------
-
-class Campaign {
- public:
-  explicit Campaign(CampaignConfig config) : config_(config) {}
-
-  // Runs the campaign on `g` for every input in `inputs`.
-  CampaignResult run(const graph::Graph& g,
-                     const std::vector<Feeds>& inputs,
-                     const SdcJudge& judge) const;
-
-  // As `run`, but evaluates several judges on the same trials (e.g. the
-  // four steering-deviation thresholds of Fig 7, or top-1 and top-5 for
-  // the ImageNet models) — one execution per trial instead of one per
-  // judge.  Returns one result per judge.
-  std::vector<CampaignResult> run_multi(
-      const graph::Graph& g, const std::vector<Feeds>& inputs,
-      const std::vector<JudgePtr>& judges) const;
-
-  const CampaignConfig& config() const { return config_; }
-
- private:
-  CampaignConfig config_;
 };
 
 }  // namespace rangerpp::fi

@@ -4,10 +4,12 @@
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string_view>
 
 #include "fi/record_codec.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 namespace rangerpp::fi {
@@ -42,10 +44,7 @@ bool find_raw(const std::string& line, const std::string& key,
 bool find_u64(const std::string& line, const std::string& key,
               std::uint64_t& out) {
   std::string raw;
-  if (!find_raw(line, key, raw) || raw.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(raw.c_str(), &end, 10);
-  return end && *end == '\0';
+  return find_raw(line, key, raw) && util::parse_u64(raw.c_str(), out);
 }
 
 std::string sanitise_label(const std::string& s) {
@@ -87,14 +86,23 @@ bool decode_faults(const std::string& s, FaultSet& out) {
       return false;
     FaultPoint f;
     f.node_name = part.substr(0, at);
-    f.element = std::strtoull(part.c_str() + at + 1, nullptr, 10);
-    char* bit_end = nullptr;
-    f.bit = static_cast<int>(
-        std::strtol(part.c_str() + colon + 1, &bit_end, 10));
-    const std::string suffix(bit_end ? bit_end : "");
-    if (suffix == "s0") f.action = FaultAction::kStuck0;
-    else if (suffix == "s1") f.action = FaultAction::kStuck1;
-    else if (!suffix.empty()) return false;
+    std::uint64_t element = 0;
+    if (!util::parse_u64(part.substr(at + 1, colon - at - 1).c_str(),
+                         element))
+      return false;
+    f.element = static_cast<std::size_t>(element);
+    std::string bit = part.substr(colon + 1);
+    if (bit.size() > 2 && bit[bit.size() - 2] == 's') {
+      if (bit.back() == '0') f.action = FaultAction::kStuck0;
+      else if (bit.back() == '1') f.action = FaultAction::kStuck1;
+      else return false;
+      bit.resize(bit.size() - 2);
+    }
+    std::int64_t b = 0;
+    if (!util::parse_i64(bit.c_str(), b) || b < 0 ||
+        b > std::numeric_limits<int>::max())
+      return false;
+    f.bit = static_cast<int>(b);
     out.push_back(std::move(f));
     start = end + 1;
   }

@@ -230,12 +230,18 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
     return 100.0 * util::wilson95(sdcs, records.size()).half_width;
   };
 
+  // Batches are cut only where something reads their boundary: a
+  // checkpoint flush or an early-stop check.  Otherwise the whole shard
+  // is one parallel loop — every cut is a pool spawn/join barrier.
+  const std::size_t batch_size =
+      !config_.checkpoint_path.empty() || config_.target_half_width_pct > 0.0
+          ? config_.check_every
+          : pending.size();
   if (!pending.empty()) {
     // With a shared executor the caller sized the arena pool; cap the
     // parallel width to it so worker indices never outrun the arenas.
     unsigned workers = util::worker_count(
-        std::min(pending.size(), config_.check_every),
-        config_.campaign.threads);
+        std::min(pending.size(), batch_size), config_.campaign.threads);
     if (ctx.executor)
       workers =
           std::min(workers, ctx.executor->workers() - ctx.worker_base);
@@ -244,8 +250,21 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
       local_executor.emplace(exec_graph, config_.campaign, inputs, workers);
     const TrialExecutor& executor =
         ctx.executor ? *ctx.executor : *local_executor;
+    // Consecutive pending trials of the same input ride one batched plan
+    // run (pending is ascending, so same-input runs are already
+    // contiguous); grouping never changes the records — batched rows are
+    // bit-identical to per-trial execution.  Weight campaigns group by
+    // *fault* instead: the n_inputs consecutive trials of one persistent
+    // fault share a single const patch (the input sweep).
+    const bool weight = config_.campaign.fault_class == FaultClass::kWeight;
+    const std::size_t group_cap =
+        weight ? inputs.size() : std::max<std::size_t>(1, executor.batch());
+    const auto group_key = [&](std::size_t t) {
+      return weight ? t / inputs.size()
+                    : t / config_.campaign.trials_per_input;
+    };
     for (std::size_t offset = 0; offset < pending.size();
-         offset += config_.check_every) {
+         offset += batch_size) {
       // Early stop only once at least one full batch of evidence exists;
       // checked at deterministic (batch) boundaries so a stopped run is
       // still a prefix of the shard's trial sequence.
@@ -254,40 +273,28 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
           half_width_pct() <= config_.target_half_width_pct)
         break;
       const std::size_t batch_n =
-          std::min(config_.check_every, pending.size() - offset);
+          std::min(batch_size, pending.size() - offset);
       util::trace::Span batch_span("campaign.batch");
       batch_span.arg("trials", batch_n);
       util::Timer batch_timer;
-      std::vector<TrialRecord> batch(batch_n);
-      // Consecutive pending trials of the same input ride one batched
-      // plan run (pending is ascending, so same-input runs are already
-      // contiguous); grouping never changes the records — batched rows
-      // are bit-identical to per-trial execution.  Weight campaigns group
-      // by *fault* instead: the n_inputs consecutive trials of one
-      // persistent fault share a single const patch (the input sweep).
-      const bool weight =
-          config_.campaign.fault_class == FaultClass::kWeight;
-      const std::size_t bsz = std::max<std::size_t>(1, executor.batch());
-      const std::size_t group_cap = weight ? inputs.size() : bsz;
-      const auto group_key = [&](std::size_t t) {
-        return weight ? t / inputs.size()
-                      : t / config_.campaign.trials_per_input;
-      };
       struct Group {
         std::size_t offset, count;
       };
       std::vector<Group> groups;
       groups.reserve(batch_n / group_cap + 1);
-      for (std::size_t i = 0; i < batch_n;) {
-        const std::size_t key = group_key(pending[offset + i]);
+      for (std::size_t i = offset; i < offset + batch_n;) {
+        const std::size_t key = group_key(pending[i]);
         std::size_t count = 1;
-        while (count < group_cap && i + count < batch_n &&
-               group_key(pending[offset + i + count]) == key)
+        while (count < group_cap && i + count < offset + batch_n &&
+               group_key(pending[i + count]) == key)
           ++count;
         groups.push_back({i, count});
         i += count;
       }
-      const auto record_trial = [&](std::size_t i, const TrialSpec& spec,
+      // Trial pending[i] lands in records[base + i - offset].
+      const std::size_t base = records.size();
+      records.resize(base + batch_n);
+      const auto record_trial = [&](std::size_t i, TrialSpec& spec,
                                     const tensor::Tensor& out) {
         const tensor::Tensor& golden =
             ctx.judge_golden ? (*ctx.judge_golden)[spec.input]
@@ -295,10 +302,10 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
         std::uint32_t mask = 0;
         for (std::size_t j = 0; j < judges.size(); ++j)
           if (judges[j]->is_sdc(golden, out)) mask |= 1u << j;
-        TrialRecord& r = batch[i];
+        TrialRecord& r = records[base + i - offset];
         r.trial = spec.trial;
         r.input = static_cast<std::uint32_t>(spec.input);
-        r.faults = spec.faults;
+        r.faults = std::move(spec.faults);
         r.stratum = planner.stratum_key(spec.stratum);
         r.sdc_mask = mask;
       };
@@ -309,66 +316,64 @@ CampaignReport CampaignRunner::run(const RunContext& ctx,
             // workers start at the caller's base (RunContext).
             const unsigned worker = ctx.worker_base + local_worker;
             const Group group = groups[gi];
+            const std::size_t end = group.offset + group.count;
             if (weight) {
               // One persistent fault, patched once, swept over the
               // group's inputs.  Every trial of the group shares the
               // fault stream (plan() keys it on t / n_inputs), so the
               // first spec's applied set is the group's.
-              const TrialSpec first =
-                  planner.plan(pending[offset + group.offset]);
               const TrialExecutor::PatchedConsts patch =
-                  executor.patch_consts(first.applied);
-              for (std::size_t i = group.offset;
-                   i < group.offset + group.count; ++i) {
-                const TrialSpec spec = planner.plan(pending[offset + i]);
+                  executor.patch_consts(
+                      planner.plan(pending[group.offset]).applied);
+              for (std::size_t i = group.offset; i < end; ++i) {
+                TrialSpec spec = planner.plan(pending[i]);
                 record_trial(i, spec,
                              executor.run_weight_trial(worker, spec.input,
                                                        patch));
               }
-              return;
-            }
-            if (group.count == 1 || executor.batch() == 1) {
-              for (std::size_t i = group.offset;
-                   i < group.offset + group.count; ++i) {
-                const TrialSpec spec = planner.plan(pending[offset + i]);
+            } else if (group.count == 1 || executor.batch() == 1) {
+              for (std::size_t i = group.offset; i < end; ++i) {
+                TrialSpec spec = planner.plan(pending[i]);
                 record_trial(i, spec,
                              executor.run_trial(worker, spec.input,
                                                 spec.faults));
               }
-              return;
+            } else {
+              std::vector<TrialSpec> specs;
+              std::vector<FaultSet> faults;
+              specs.reserve(group.count);
+              faults.reserve(group.count);
+              for (std::size_t i = group.offset; i < end; ++i) {
+                specs.push_back(planner.plan(pending[i]));
+                // Groups were formed by the t / trials_per_input rule; a
+                // planner that assigns inputs differently must fail
+                // loudly, not judge against the wrong golden.
+                if (specs.back().input != specs.front().input)
+                  throw std::logic_error(
+                      "CampaignRunner: trial group spans inputs — "
+                      "planner/grouping mismatch");
+                faults.push_back(specs.back().faults);
+              }
+              const std::vector<tensor::Tensor> outs =
+                  executor.run_trial_batch(worker, specs[0].input, faults);
+              for (std::size_t k = 0; k < group.count; ++k)
+                record_trial(group.offset + k, specs[k], outs[k]);
             }
-            std::vector<TrialSpec> specs;
-            std::vector<FaultSet> faults;
-            specs.reserve(group.count);
-            faults.reserve(group.count);
-            for (std::size_t i = 0; i < group.count; ++i) {
-              specs.push_back(planner.plan(pending[offset + group.offset + i]));
-              // Groups were formed by the t / trials_per_input rule; a
-              // planner that assigns inputs differently must fail loudly,
-              // not judge against the wrong golden.
-              if (specs.back().input != specs.front().input)
-                throw std::logic_error(
-                    "CampaignRunner: trial group spans inputs — "
-                    "planner/grouping mismatch");
-              faults.push_back(specs.back().faults);
-            }
-            const std::vector<tensor::Tensor> outs = executor.run_trial_batch(
-                worker, specs[0].input, faults);
-            for (std::size_t i = 0; i < group.count; ++i)
-              record_trial(group.offset + i, specs[i], outs[i]);
+            // Counted per group, so --progress stays live inside a
+            // single-batch run.
+            util::metrics::counter_add("campaign.trials", group.count);
           },
           workers);
       util::metrics::counter_add("campaign.batches");
-      util::metrics::counter_add("campaign.trials", batch_n);
       util::metrics::observe_ms("campaign.batch_ms",
                                 batch_timer.elapsed_ms());
-      util::trace::Span write_span("checkpoint.write");
-      write_span.arg("records", batch_n);
-      for (TrialRecord& r : batch) {
-        if (file) file.record(r);
-        records.push_back(std::move(r));
+      if (file) {
+        util::trace::Span write_span("checkpoint.write");
+        write_span.arg("records", batch_n);
+        for (std::size_t i = base; i < records.size(); ++i)
+          file.record(records[i]);
+        file.flush();
       }
-      if (file) file.flush();
     }
   }
 

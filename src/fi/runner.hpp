@@ -1,5 +1,10 @@
-// CampaignRunner: the orchestration layer that turns the in-process
-// Campaign engine into a resumable, shardable campaign service.
+// CampaignRunner: the one trial loop.  Every campaign in the library —
+// an in-process figure bench, a suite cell, a scheduler slice, a CLI
+// run — plans its trials with TrialPlanner, executes them on a
+// TrialExecutor (campaign.hpp) and judges them here.  A run with an
+// empty checkpoint path and no early-stop target is the plain in-process
+// campaign: one parallel loop over the shard, per-judge counts in
+// CampaignReport::aggregate.  On top of that loop the runner adds:
 //
 //  * Deterministic sharding — shard i of N executes exactly the trials
 //    with index ≡ i (mod N).  Because TrialPlanner::plan(t) and the
@@ -18,6 +23,12 @@
 //  * Early stopping — optionally stop once the aggregate Wilson-95
 //    half-width of the first judge drops below a target, checked at
 //    deterministic batch boundaries.
+//
+// Batching: trials run in batches of RunnerConfig::check_every only
+// when something reads the batch boundary — a checkpoint file (flushed
+// per batch) or an early-stop target (checked per batch).  Otherwise the
+// whole shard is one batch: a batch boundary is a thread-pool join, and
+// nothing would read it.
 //
 // Determinism contract: the records a run produces depend only on
 // (campaign fingerprint, shard spec, executed trial set).  Worker thread
@@ -61,6 +72,10 @@ struct RunnerConfig {
   // falls below this many percent.  0 = run every planned trial.
   double target_half_width_pct = 0.0;
   // Trials per batch between checkpoint flushes / early-stop checks.
+  // Only those read a batch boundary, so batches are cut only when
+  // checkpoint_path is set or target_half_width_pct > 0; any other run
+  // executes its whole shard as one batch and ignores this value.
+  // Records never depend on it.
   std::size_t check_every = 256;
 
   // Cap on trials newly executed by this invocation (0 = unlimited) —

@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
+#include <string>
 
 #include "util/parse.hpp"
 
@@ -43,14 +45,15 @@ struct ShardSpec {
 // duplicate) slice.
 inline std::optional<ShardSpec> parse_shard_spec(const char* s) {
   if (!s) return std::nullopt;
-  char* end = nullptr;
-  const std::size_t index = std::strtoull(s, &end, 10);
-  if (end == s || *end != '/') return std::nullopt;
-  const char* count_str = end + 1;
-  const std::size_t count = std::strtoull(count_str, &end, 10);
-  if (end == count_str || *end != '\0' || count == 0 || index >= count)
+  const char* slash = std::strchr(s, '/');
+  if (!slash) return std::nullopt;
+  const std::string index_str(s, slash);
+  std::uint64_t index = 0, count = 0;
+  if (!parse_u64(index_str.c_str(), index) || !parse_u64(slash + 1, count) ||
+      count == 0 || index >= count)
     return std::nullopt;
-  return ShardSpec{index, count};
+  return ShardSpec{static_cast<std::size_t>(index),
+                   static_cast<std::size_t>(count)};
 }
 
 }  // namespace rangerpp::util

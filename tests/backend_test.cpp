@@ -17,6 +17,7 @@
 #include "core/restrict_op.hpp"
 #include "fi/campaign.hpp"
 #include "fi/equivalence.hpp"
+#include "fi/runner.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "graph/plan.hpp"
@@ -255,9 +256,10 @@ TEST(BatchedCampaignTest, BatchingAndBackendNeverChangeSdcCounts) {
   std::vector<fi::Feeds> inputs;
   for (int i = 0; i < 2; ++i)
     inputs.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
-  const fi::Top1Judge judge;
+  const std::vector<fi::JudgePtr> judges{std::make_shared<fi::Top1Judge>()};
 
   std::vector<std::size_t> sdc_counts;
+  std::vector<std::vector<fi::TrialRecord>> records;
   for (const ops::KernelBackend backend :
        {ops::KernelBackend::kScalar, ops::KernelBackend::kBlocked}) {
     for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
@@ -269,16 +271,22 @@ TEST(BatchedCampaignTest, BatchingAndBackendNeverChangeSdcCounts) {
         cc.backend = backend;
         cc.batch = batch;
         cc.partial_reexecution = partial;
-        const fi::CampaignResult r = fi::Campaign(cc).run(g, inputs, judge);
+        fi::CampaignReport rep =
+            fi::CampaignRunner({.campaign = cc}).run(g, inputs, judges);
+        const fi::CampaignResult r = rep.aggregate[0];
         EXPECT_EQ(r.trials, 120u);
         sdc_counts.push_back(r.sdcs);
+        records.push_back(std::move(rep.records));
       }
     }
   }
-  for (std::size_t i = 1; i < sdc_counts.size(); ++i)
+  for (std::size_t i = 1; i < sdc_counts.size(); ++i) {
     EXPECT_EQ(sdc_counts[i], sdc_counts[0])
         << "configuration " << i
         << " diverged: backends/batching must be bit-identical";
+    EXPECT_TRUE(fi::records_identical(records[i], records[0]))
+        << "configuration " << i << " changed a trial record";
+  }
 }
 
 TEST(BatchedCampaignTest, TrialBatchOutputsMatchPerTrialOutputs) {
@@ -428,15 +436,17 @@ TEST(SimdBackendTest, CampaignSdcRatesStatisticallyEqualToScalar) {
   std::vector<fi::Feeds> inputs;
   for (int i = 0; i < 2; ++i)
     inputs.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
-  const fi::Top1Judge judge;
-  fi::CampaignConfig cc;
-  cc.dtype = tensor::DType::kFixed32;
-  cc.trials_per_input = 100;
-  cc.seed = 2024;
-  cc.backend = ops::KernelBackend::kScalar;
-  const fi::CampaignResult rs = fi::Campaign(cc).run(g, inputs, judge);
-  cc.backend = ops::KernelBackend::kSimd;
-  const fi::CampaignResult rv = fi::Campaign(cc).run(g, inputs, judge);
+  const std::vector<fi::JudgePtr> judges{std::make_shared<fi::Top1Judge>()};
+  fi::RunnerConfig rc;
+  rc.campaign.dtype = tensor::DType::kFixed32;
+  rc.campaign.trials_per_input = 100;
+  rc.campaign.seed = 2024;
+  rc.campaign.backend = ops::KernelBackend::kScalar;
+  const fi::CampaignResult rs =
+      fi::CampaignRunner(rc).run(g, inputs, judges).aggregate[0];
+  rc.campaign.backend = ops::KernelBackend::kSimd;
+  const fi::CampaignResult rv =
+      fi::CampaignRunner(rc).run(g, inputs, judges).aggregate[0];
   EXPECT_EQ(rs.trials, rv.trials);
   EXPECT_TRUE(fi::rates_statistically_equal(rs.sdcs, rs.trials, rv.sdcs,
                                             rv.trials))

@@ -170,16 +170,17 @@ TEST(Campaign, DeterministicGivenSeed) {
   CampaignConfig cfg;
   cfg.trials_per_input = 200;
   cfg.seed = 99;
-  const Campaign c(cfg);
+  const CampaignRunner c({.campaign = cfg});
   // Judge: SDC iff element 0 deviates by > 1.
   class Dev1Judge final : public SdcJudge {
    public:
     bool is_sdc(const Tensor& g, const Tensor& f) const override {
       return std::abs(g.at(0) - f.at(0)) > 1.0f;
     }
-  } judge;
-  const CampaignResult r1 = c.run(g, inputs, judge);
-  const CampaignResult r2 = c.run(g, inputs, judge);
+  };
+  const std::vector<JudgePtr> judges{std::make_shared<Dev1Judge>()};
+  const CampaignResult r1 = c.run(g, inputs, judges).aggregate[0];
+  const CampaignResult r2 = c.run(g, inputs, judges).aggregate[0];
   EXPECT_EQ(r1.trials, 200u);
   EXPECT_EQ(r1.sdcs, r2.sdcs);
   EXPECT_GT(r1.sdcs, 0u);           // high-order bit flips must deviate
@@ -192,7 +193,7 @@ TEST(Campaign, MultiJudgeSharesTrials) {
       {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}}};
   CampaignConfig cfg;
   cfg.trials_per_input = 100;
-  const Campaign c(cfg);
+  const CampaignRunner c({.campaign = cfg});
   // Threshold family: a looser threshold can never yield more SDCs.
   class DevJudge final : public SdcJudge {
    public:
@@ -204,10 +205,10 @@ TEST(Campaign, MultiJudgeSharesTrials) {
    private:
     float t_;
   };
-  const auto results = c.run_multi(
-      g, inputs,
-      {std::make_shared<DevJudge>(0.5f), std::make_shared<DevJudge>(5.0f),
-       std::make_shared<DevJudge>(500.0f)});
+  const std::vector<JudgePtr> judges{std::make_shared<DevJudge>(0.5f),
+                                     std::make_shared<DevJudge>(5.0f),
+                                     std::make_shared<DevJudge>(500.0f)};
+  const auto results = c.run(g, inputs, judges).aggregate;
   ASSERT_EQ(results.size(), 3u);
   EXPECT_GE(results[0].sdcs, results[1].sdcs);
   EXPECT_GE(results[1].sdcs, results[2].sdcs);

@@ -14,6 +14,7 @@
 #include "core/range_profiler.hpp"
 #include "fi/campaign.hpp"
 #include "fi/fault_model.hpp"
+#include "fi/runner.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "tensor/dtype.hpp"
@@ -196,9 +197,10 @@ TEST(Int8CampaignTest, PartialFullAndBatchedExecutionAgreeBitIdentically) {
   const core::Bounds bounds =
       core::RangeProfiler{}.derive_bounds(g, inputs);
   const core::Int8Formats formats = core::int8_calibration(bounds);
-  const fi::Top1Judge judge;
+  const std::vector<fi::JudgePtr> judges{std::make_shared<fi::Top1Judge>()};
 
   std::vector<std::size_t> sdc_counts;
+  std::vector<std::vector<fi::TrialRecord>> records;
   for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
     for (const bool partial : {true, false}) {
       fi::CampaignConfig cc;
@@ -208,15 +210,21 @@ TEST(Int8CampaignTest, PartialFullAndBatchedExecutionAgreeBitIdentically) {
       cc.seed = 2026;
       cc.batch = batch;
       cc.partial_reexecution = partial;
-      const fi::CampaignResult r = fi::Campaign(cc).run(g, inputs, judge);
+      fi::CampaignReport rep =
+          fi::CampaignRunner({.campaign = cc}).run(g, inputs, judges);
+      const fi::CampaignResult r = rep.aggregate[0];
       EXPECT_EQ(r.trials, 120u);
       sdc_counts.push_back(r.sdcs);
+      records.push_back(std::move(rep.records));
     }
   }
-  for (std::size_t i = 1; i < sdc_counts.size(); ++i)
+  for (std::size_t i = 1; i < sdc_counts.size(); ++i) {
     EXPECT_EQ(sdc_counts[i], sdc_counts[0])
         << "int8 configuration " << i
         << " diverged: partial/batched execution must stay exact";
+    EXPECT_TRUE(fi::records_identical(records[i], records[0]))
+        << "int8 configuration " << i << " changed a trial record";
+  }
 }
 
 }  // namespace

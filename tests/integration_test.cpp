@@ -6,7 +6,6 @@
 
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
-#include "fi/campaign.hpp"
 #include "fi/runner.hpp"
 #include "graph/dot_export.hpp"
 #include "models/workload.hpp"
@@ -37,17 +36,21 @@ Pipeline build_pipeline(ModelId id, bool trained = true) {
   return p;
 }
 
+// Top-1 counts of an in-memory campaign of `g` over the eval inputs.
+fi::CampaignResult top1_campaign(const fi::CampaignConfig& cc,
+                                 const graph::Graph& g, const Pipeline& p) {
+  return fi::CampaignRunner({.campaign = cc})
+      .run(g, p.workload.eval_feeds, {std::make_shared<fi::Top1Judge>()})
+      .aggregate[0];
+}
+
 TEST(Integration, RangerCutsLeNetSdcRateSubstantially) {
   const Pipeline p = build_pipeline(ModelId::kLeNet);
   fi::CampaignConfig cc;
   cc.trials_per_input = 300;
   cc.seed = 5;
-  const fi::Campaign campaign(cc);
-  const fi::Top1Judge judge;
-  const fi::CampaignResult orig =
-      campaign.run(p.workload.graph, p.workload.eval_feeds, judge);
-  const fi::CampaignResult prot =
-      campaign.run(p.protected_graph, p.workload.eval_feeds, judge);
+  const fi::CampaignResult orig = top1_campaign(cc, p.workload.graph, p);
+  const fi::CampaignResult prot = top1_campaign(cc, p.protected_graph, p);
   EXPECT_GT(orig.sdc_rate(), 0.05);  // unprotected LeNet is vulnerable
   EXPECT_LT(prot.sdc_rate(), orig.sdc_rate() / 3.0)
       << "Ranger must reduce the SDC rate by a large factor (paper: 3x-50x)";
@@ -94,12 +97,8 @@ TEST(Integration, Fixed16CampaignAlsoImproves) {
   cc.dtype = tensor::DType::kFixed16;
   cc.trials_per_input = 300;
   cc.seed = 7;
-  const fi::Campaign campaign(cc);
-  const fi::Top1Judge judge;
-  const fi::CampaignResult orig =
-      campaign.run(p.workload.graph, p.workload.eval_feeds, judge);
-  const fi::CampaignResult prot =
-      campaign.run(p.protected_graph, p.workload.eval_feeds, judge);
+  const fi::CampaignResult orig = top1_campaign(cc, p.workload.graph, p);
+  const fi::CampaignResult prot = top1_campaign(cc, p.protected_graph, p);
   EXPECT_LT(prot.sdc_rate(), orig.sdc_rate());
 }
 
@@ -108,17 +107,10 @@ TEST(Integration, MultiBitIndependentIsWorseThanSingleBit) {
   fi::CampaignConfig cc;
   cc.trials_per_input = 400;
   cc.seed = 8;
-  const fi::Top1Judge judge;
   cc.n_bits = 1;
-  const double sdc1 = fi::Campaign(cc)
-                          .run(p.workload.graph, p.workload.eval_feeds,
-                               judge)
-                          .sdc_rate();
+  const double sdc1 = top1_campaign(cc, p.workload.graph, p).sdc_rate();
   cc.n_bits = 4;
-  const double sdc4 = fi::Campaign(cc)
-                          .run(p.workload.graph, p.workload.eval_feeds,
-                               judge)
-                          .sdc_rate();
+  const double sdc4 = top1_campaign(cc, p.workload.graph, p).sdc_rate();
   EXPECT_GT(sdc4, sdc1);  // more corrupted values, more SDCs (Fig 11)
 }
 

@@ -109,9 +109,13 @@ TEST(CampaignRunner, CheckpointResumeIsBitIdentical) {
   const CampaignReport ref =
       CampaignRunner(base_config()).run(g, inputs, judges);
 
-  // "Killed" run: only 37 trials land in the checkpoint...
+  // "Killed" run: only 37 trials land in the checkpoint...  The
+  // checkpointed runs cut a batch every 16 trials while the in-memory
+  // reference runs as one batch, so this also checks that batching never
+  // changes a record.
   RunnerConfig rc = base_config();
   rc.checkpoint_path = path;
+  rc.check_every = 16;
   rc.max_new_trials = 37;
   const CampaignReport partial = CampaignRunner(rc).run(g, inputs, judges);
   EXPECT_EQ(partial.executed(), 37u);
@@ -341,16 +345,28 @@ TEST(Checkpoint, TornMidFileLineIsRecoveredAndResumeIsBitIdentical) {
   const std::size_t cut = lines[torn].find("\"stratum\"");
   ASSERT_NE(cut, std::string::npos);
   lines[torn] = lines[torn].substr(0, cut);
+  // Malformed numbers are torn lines too, never wrapped or truncated
+  // into a different trial: a negative trial index ("t":-N), trailing
+  // junk on an element (conv@12x:3) and a negative bit (conv@12:-3).
+  const auto fault_colon = [&lines](std::size_t i) {
+    const std::size_t colon = lines[i].find(':', lines[i].find('@'));
+    EXPECT_NE(colon, std::string::npos) << lines[i];
+    return colon;
+  };
+  lines[20].insert(lines[20].find("\"t\":") + 4, "-");
+  lines[30].insert(fault_colon(30), "x");
+  lines[40].insert(fault_colon(40) + 1, "-");
   {
     std::ofstream out(path, std::ios::trunc);
     for (const std::string& l : lines) out << l << "\n";
   }
 
-  // The load recovers all 179 intact records (180 minus the torn line).
+  // The load recovers all 176 intact records (180 minus the torn line
+  // and the three malformed ones).
   const Checkpoint cp = load_checkpoint(path);
-  EXPECT_EQ(cp.records.size(), 179u);
+  EXPECT_EQ(cp.records.size(), 176u);
 
-  // Resume executes only the lost trial and matches the reference.
+  // Resume executes only the four lost trials and matches the reference.
   const CampaignReport resumed = CampaignRunner(rc).run(g, inputs, judges);
   EXPECT_TRUE(records_identical(resumed.records, ref.records));
   // The rewritten file is canonical again.

@@ -69,6 +69,23 @@ TEST(Env, EnvSizeWarnsAndKeepsDefaultOnMalformedValues) {
   unsetenv(name);
 }
 
+TEST(Env, ShardSpecIsStrict) {
+  const auto ok = parse_shard_spec("1/4");
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_EQ(ok->index, 1u);
+  EXPECT_EQ(ok->count, 4u);
+  EXPECT_TRUE(parse_shard_spec("0/1").has_value());
+
+  // "-1" must not wrap into shard 0 of 2^64-1 (a run that does almost
+  // nothing); signs and whitespace are refused on both halves.
+  for (const char* bad :
+       {"0/-1", "-1/2", "+1/2", " 1/2", "1/ 2", "1/+2", "1/2 ", "1/2x",
+        "1x/2", "/2", "1/", "1", "", "2/2", "0/0", "1/2/3",
+        "0/99999999999999999999999"})
+    EXPECT_FALSE(parse_shard_spec(bad).has_value()) << "'" << bad << "'";
+  EXPECT_FALSE(parse_shard_spec(nullptr).has_value());
+}
+
 TEST(Stats, MeanVarianceStddev) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);

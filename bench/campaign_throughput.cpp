@@ -4,8 +4,9 @@
 // flips, 32-bit fixed point).
 //
 // Three modes are measured over the identical seed and fault stream:
-//   legacy   — per-trial full graph execution, no persistent plan (the
-//              pre-plan executor behaviour);
+//   legacy   — per-trial full graph execution on a pass-free plan
+//              compiled afresh for every trial (the pre-plan executor
+//              behaviour);
 //   full     — compiled plan + arenas, but every trial re-executes the
 //              whole schedule (CampaignConfig::partial_reexecution=false);
 //   partial  — golden-prefix partial re-execution (the default).
@@ -60,17 +61,23 @@ Measurement run_campaign(const models::Workload& w,
   return m;
 }
 
-// The seed's behaviour: one full graph execution per trial, plan compiled
-// from scratch inside every Executor::run call.
+// The seed's behaviour: one full graph execution per trial, with a
+// pass-free plan compiled from scratch for every trial.
 Measurement run_legacy(const models::Workload& w,
                        const bench::BenchConfig& cfg) {
   const tensor::DType dtype = tensor::DType::kFixed32;
+  const graph::CompileOptions options{.dtype = dtype,
+                                      .observe = graph::Observe::kAll};
   const graph::Executor exec({dtype});
   const fi::SiteSpace sites(w.graph, dtype);
   const auto judges = models::default_judges(w.id);
   std::vector<tensor::Tensor> golden;
-  for (const fi::Feeds& f : w.eval_feeds)
-    golden.push_back(exec.run(w.graph, f));
+  {
+    const graph::ExecutionPlan plan = graph::compile(w.graph, options);
+    graph::Arena arena;
+    for (const fi::Feeds& f : w.eval_feeds)
+      golden.push_back(exec.run(plan, f, arena));
+  }
 
   const std::size_t trials = cfg.trials_for(w.id);
   const std::size_t total = trials * w.eval_feeds.size();
@@ -80,8 +87,10 @@ Measurement run_legacy(const models::Workload& w,
     const std::size_t input_idx = t / trials;
     util::Rng rng(util::derive_seed(cfg.seed, t));
     const fi::FaultSet faults = sites.sample(rng, 1);
+    const graph::ExecutionPlan plan = graph::compile(w.graph, options);
+    graph::Arena arena;
     const tensor::Tensor out =
-        exec.run(w.graph, w.eval_feeds[input_idx],
+        exec.run(plan, w.eval_feeds[input_idx], arena,
                  fi::make_injection_hook(w.graph, dtype, faults));
     for (std::size_t j = 0; j < judges.size(); ++j)
       if (judges[j]->is_sdc(golden[input_idx], out))
@@ -240,7 +249,7 @@ int main() {
   // The compiler's memory-planning pass aliases non-overlapping activation
   // lifetimes onto shared arena slots; on a pure-inference plan of the
   // conv tower the peak must come in below the retain-all footprint.  The
-  // arena-planned plan must also stay exact: same top-1 as the legacy
+  // arena-planned plan must also stay exact: same top-1 as the pass-free
   // retain-all plan on every bench input.
   bench::print_header("Arena memory planning",
                       "peak activation bytes, planned vs retain-all");
@@ -254,7 +263,9 @@ int main() {
   bool arena_exact = true;
   {
     const graph::Executor exec({tensor::DType::kFixed32});
-    const graph::ExecutionPlan retain_plan(tower, tensor::DType::kFixed32);
+    const graph::ExecutionPlan retain_plan = graph::compile(
+        tower, {.dtype = tensor::DType::kFixed32,
+                .observe = graph::Observe::kAll});
     graph::Arena a1, a2;
     for (const fi::Feeds& f : tower_inputs)
       arena_exact = arena_exact &&

@@ -25,6 +25,7 @@
 #include "core/ranger_transform.hpp"
 #include "fi/runner.hpp"
 #include "fi/suite.hpp"
+#include "graph/passes.hpp"
 #include "models/workload.hpp"
 #include "ops/backend.hpp"
 #include "util/env.hpp"

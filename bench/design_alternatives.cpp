@@ -40,11 +40,15 @@ std::vector<std::size_t> exceeding_inputs(const models::Workload& w,
   std::vector<std::size_t> out;
   std::vector<std::atomic<unsigned char>> flags(w.validation.samples.size());
   const graph::Executor exec({tensor::DType::kFloat32});
-  util::parallel_for(w.validation.samples.size(), [&](std::size_t i) {
+  const graph::ExecutionPlan plan = graph::compile(
+      w.graph,
+      {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
+  std::vector<graph::Arena> arenas(util::worker_count(flags.size()));
+  util::parallel_for_workers(flags.size(), [&](unsigned worker,
+                                               std::size_t i) {
     bool exceeds = false;
-    exec.run(w.graph,
-             fi::Feeds{{w.input_name, w.validation.samples[i].image}},
-             [&](const graph::Node& n, tensor::Tensor& t) {
+    exec.run(plan, fi::Feeds{{w.input_name, w.validation.samples[i].image}},
+             arenas[worker], [&](const graph::Node& n, tensor::Tensor& t) {
                if (exceeds) return;
                const auto it = bounds.find(n.name);
                if (it == bounds.end()) return;
@@ -93,6 +97,10 @@ int main() {
           .aggregate;
     };
     const graph::Executor exec({tensor::DType::kFloat32});
+    const graph::CompileOptions float_plan{
+        .dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll};
+    const graph::ExecutionPlan plan = graph::compile(w.graph, float_plan);
+    graph::Arena arena, arena_prot;
 
     util::Table table({"policy", "pred. changes on exceeding inputs",
                        "SDC rate (%)"});
@@ -102,12 +110,14 @@ int main() {
     for (const PolicyDef& p : kPolicies) {
       const graph::Graph protected_g =
           core::RangerTransform{{p.policy, cfg.seed}}.apply(w.graph, bounds);
+      const graph::ExecutionPlan plan_prot =
+          graph::compile(protected_g, float_plan);
       std::size_t changed = 0;
       for (const std::size_t i : exceeding) {
         const fi::Feeds feeds{{w.input_name,
                                w.validation.samples[i].image}};
-        if (graph::argmax(exec.run(w.graph, feeds)) !=
-            graph::argmax(exec.run(protected_g, feeds)))
+        if (graph::argmax(exec.run(plan, feeds, arena)) !=
+            graph::argmax(exec.run(plan_prot, feeds, arena_prot)))
           ++changed;
       }
       const auto r = campaign(protected_g);
@@ -136,11 +146,13 @@ int main() {
     for (const PolicyDef& p : kPolicies) {
       const graph::Graph protected_g =
           core::RangerTransform{{p.policy, cfg.seed}}.apply(w.graph, bounds);
+      const graph::ExecutionPlan plan_prot =
+          graph::compile(protected_g, float_plan);
       std::size_t changed = 0;
       for (const tensor::Tensor& img : shifted) {
         const fi::Feeds feeds{{w.input_name, img}};
-        if (graph::argmax(exec.run(w.graph, feeds)) !=
-            graph::argmax(exec.run(protected_g, feeds)))
+        if (graph::argmax(exec.run(plan, feeds, arena)) !=
+            graph::argmax(exec.run(plan_prot, feeds, arena_prot)))
           ++changed;
       }
       shifted_table.add_row(

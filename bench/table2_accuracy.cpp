@@ -16,11 +16,16 @@ namespace {
 double agreement(const graph::Graph& a, const graph::Graph& b,
                  const std::string& input, const data::Dataset& ds) {
   const graph::Executor exec({tensor::DType::kFloat32});
+  const graph::CompileOptions options{.dtype = tensor::DType::kFloat32,
+                                      .observe = graph::Observe::kAll};
+  const graph::ExecutionPlan plan_a = graph::compile(a, options);
+  const graph::ExecutionPlan plan_b = graph::compile(b, options);
+  graph::Arena arena_a, arena_b;
   std::size_t same = 0;
   for (const data::Sample& s : ds.samples) {
     const fi::Feeds feeds{{input, s.image}};
-    if (graph::argmax(exec.run(a, feeds)) ==
-        graph::argmax(exec.run(b, feeds)))
+    if (graph::argmax(exec.run(plan_a, feeds, arena_a)) ==
+        graph::argmax(exec.run(plan_b, feeds, arena_b)))
       ++same;
   }
   return ds.samples.empty()

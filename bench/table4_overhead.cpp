@@ -32,9 +32,12 @@ void run_inference(benchmark::State& state, models::ModelId id,
   const bench::ProtectedWorkload& pw = cached_workload(id);
   const graph::Graph& g = with_ranger ? pw.protected_graph : pw.base.graph;
   const graph::Executor exec({tensor::DType::kFixed32});
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFixed32, .observe = graph::Observe::kAll});
+  graph::Arena arena;
   const fi::Feeds& feeds = pw.base.eval_feeds.front();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exec.run(g, feeds));
+    benchmark::DoNotOptimize(exec.run(plan, feeds, arena));
   }
 }
 

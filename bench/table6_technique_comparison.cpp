@@ -85,7 +85,9 @@ PlainSdcs plain_sdcs(const models::Workload& w,
 // triggers out-of-band recovery).
 void eval_technique(baselines::Technique& tech, const models::Workload& w,
                     const PlainSdcs& plain, Row& row) {
-  const graph::ExecutionPlan plan(w.graph, tensor::DType::kFixed32);
+  const graph::ExecutionPlan plan = graph::compile(
+      w.graph,
+      {.dtype = tensor::DType::kFixed32, .observe = graph::Observe::kAll});
   tech.prepare(plan, w.profile_feeds);
 
   const auto judges = models::default_judges(w.id);

@@ -82,12 +82,14 @@ SweepMeasurement run_naive(const models::Workload& w,
                            const fi::CampaignConfig& cc,
                            std::size_t n_faults) {
   const graph::Executor exec({cc.dtype});
+  const graph::CompileOptions pass_free{.dtype = cc.dtype,
+                                        .observe = graph::Observe::kAll};
   const auto judges = models::default_judges(w.id);
   // Goldens once (both modes amortise goldens; the comparison isolates
   // per-trial recompilation against patched-plan reuse).
   std::vector<tensor::Tensor> golden;
   {
-    const graph::ExecutionPlan plan(w.graph, cc.dtype);
+    const graph::ExecutionPlan plan = graph::compile(w.graph, pass_free);
     graph::Arena arena;
     for (const fi::Feeds& f : w.eval_feeds)
       golden.push_back(exec.run(plan, f, arena));
@@ -98,7 +100,8 @@ SweepMeasurement run_naive(const models::Workload& w,
   for (std::size_t f = 0; f < n_faults; ++f) {
     const fi::TrialSpec first = planner.plan(f * w.eval_feeds.size());
     for (std::size_t i = 0; i < w.eval_feeds.size(); ++i) {
-      const graph::ExecutionPlan plan(w.graph, cc.dtype);  // recompile
+      const graph::ExecutionPlan plan =
+          graph::compile(w.graph, pass_free);  // recompile
       const auto overrides = fi::make_const_overrides(plan, first.applied);
       const tensor::Tensor out =
           exec.run(plan, w.eval_feeds[i], arena, overrides);

@@ -35,19 +35,6 @@ struct Args {
   std::uint64_t seed = 2021;
 };
 
-std::optional<models::ModelId> parse_model(const std::string& s) {
-  if (s == "lenet") return models::ModelId::kLeNet;
-  if (s == "alexnet") return models::ModelId::kAlexNet;
-  if (s == "vgg11") return models::ModelId::kVgg11;
-  if (s == "vgg16") return models::ModelId::kVgg16;
-  if (s == "resnet18") return models::ModelId::kResNet18;
-  if (s == "squeezenet") return models::ModelId::kSqueezeNet;
-  if (s == "dave") return models::ModelId::kDave;
-  if (s == "dave-degrees") return models::ModelId::kDaveDegrees;
-  if (s == "comma") return models::ModelId::kComma;
-  return std::nullopt;
-}
-
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -71,7 +58,7 @@ std::optional<Args> parse(int argc, char** argv) {
     if (flag == "--model") {
       const auto v = next();
       if (!v) return std::nullopt;
-      const auto m = parse_model(*v);
+      const auto m = models::model_from_token(*v);
       if (!m) {
         std::fprintf(stderr, "unknown model '%s'\n", v->c_str());
         return std::nullopt;
@@ -153,6 +140,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // Open the DOT file before the (slow) workload build, so a bad path
+  // fails at once instead of after training and profiling.
+  std::ofstream dot;
+  if (args->dot_path) {
+    dot.open(*args->dot_path);
+    if (!dot) {
+      std::fprintf(stderr, "--dot: cannot open '%s' for writing\n",
+                   args->dot_path->c_str());
+      return 2;
+    }
+  }
+
   std::printf("model=%s dtype=%s trials=%zu bits=%d%s percentile=%.1f\n",
               models::model_name(args->model).c_str(),
               std::string(tensor::dtype_name(args->dtype)).c_str(),
@@ -175,8 +174,13 @@ int main(int argc, char** argv) {
       core::RangerTransform{to}.apply(w.graph, bounds);
 
   if (args->dot_path) {
-    std::ofstream out(*args->dot_path);
-    out << graph::to_dot(protected_g);
+    dot << graph::to_dot(protected_g);
+    dot.close();
+    if (!dot) {
+      std::fprintf(stderr, "--dot: failed writing '%s'\n",
+                   args->dot_path->c_str());
+      return 2;
+    }
     std::printf("wrote protected graph to %s\n", args->dot_path->c_str());
   }
 

@@ -5,6 +5,7 @@
 
 #include "core/flops_profiler.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 #include "ops/op.hpp"
 
 namespace rangerpp::baselines {
@@ -14,7 +15,8 @@ void MlCorrector::prepare(const graph::ExecutionPlan& plan,
   const graph::Graph& g = plan.graph();
   layers_.clear();
   const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan fplan(g, tensor::DType::kFloat32);
+  const graph::ExecutionPlan fplan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
   graph::Arena arena;
 
   // Pass 1: fault-free feature ranges for every activation layer.

@@ -4,6 +4,7 @@
 
 #include "core/flops_profiler.hpp"
 #include "graph/executor.hpp"
+#include "graph/passes.hpp"
 
 namespace rangerpp::baselines {
 
@@ -11,7 +12,9 @@ void SymptomDetector::prepare(const graph::ExecutionPlan& plan,
                               const std::vector<fi::Feeds>& profile_feeds) {
   max_abs_.clear();
   const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan fplan(plan.graph(), tensor::DType::kFloat32);
+  const graph::ExecutionPlan fplan =
+      graph::compile(plan.graph(), {.dtype = tensor::DType::kFloat32,
+                                    .observe = graph::Observe::kAll});
   graph::Arena arena;
   for (const fi::Feeds& feeds : profile_feeds) {
     exec.run(fplan, feeds, arena,

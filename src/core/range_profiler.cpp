@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "graph/passes.hpp"
 #include "util/threadpool.hpp"
 
 namespace rangerpp::core {
@@ -129,7 +130,8 @@ RangeProfile RangeProfiler::run_profile(const graph::Graph& g,
   const std::size_t chunk =
       sample_reservoirs ? std::min(n, kReservoirChunk) : n;
   const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan plan(g, tensor::DType::kFloat32);
+  const graph::ExecutionPlan plan = graph::compile(
+      g, {.dtype = tensor::DType::kFloat32, .observe = graph::Observe::kAll});
   std::vector<graph::Arena> arenas(util::worker_count(chunk));
   std::vector<std::vector<SampleStats>> per_sample(
       chunk, std::vector<SampleStats>(observed.size()));

@@ -10,6 +10,11 @@
 //  * all original node names are preserved, so fault sites planned on the
 //    unprotected graph replay on the protected one.
 //
+// A protected plan is graph::compile(RangerTransform::apply(g, bounds),
+// options): the restriction ops are injectable, hence observable under the
+// default Observe::kInjectable, so no later rewrite pass folds or fuses
+// them away.
+//
 // The transform uses Graph::import_with_remap — the analogue of the
 // append-only TensorFlow graph duplication of the paper's implementation
 // (§IV, Fig 3): existing nodes are never mutated; restriction operators are
@@ -27,7 +32,6 @@
 
 #include "core/bounds.hpp"
 #include "graph/graph.hpp"
-#include "graph/passes.hpp"
 
 namespace rangerpp::core {
 
@@ -76,17 +80,5 @@ class RangerTransform {
   TransformOptions options_;
   mutable TransformStats stats_;
 };
-
-// RangerTransform as a compiler pass (the "ranger_insert" stage): set
-// graph::CompileOptions::ranger to compile a protected plan straight from
-// the unprotected graph —
-//
-//   auto plan = graph::compile(g, {.ranger = core::ranger_pass(bounds)});
-//
-// replaces the historical three-step protect -> RangerTransform::apply ->
-// ExecutionPlan dance.  The inserted restriction nodes are injectable
-// (hence observable under the default Observe::kInjectable), so later
-// rewrite passes never fold or fuse them away.
-graph::PassPtr ranger_pass(Bounds bounds, TransformOptions options = {});
 
 }  // namespace rangerpp::core

@@ -26,7 +26,7 @@ std::vector<graph::NodeId> fault_roots(const graph::Graph& g,
 // Observe::kInjectable: every injection site (and profiled ceiling) lives
 // on an injectable node, so rewrites only ever touch the non-injectable
 // output head — site replay and golden snapshots are unaffected, and the
-// fused plan stays bit-identical to the legacy one (the
+// fused plan stays bit-identical to the pass-free one (the
 // campaign-throughput identity gate checks this).
 graph::CompileOptions campaign_compile_options(const CampaignConfig& config,
                                                std::size_t batch) {

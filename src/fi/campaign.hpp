@@ -4,8 +4,9 @@
 //  * trial generation  — TrialPlanner: pure function of (config, trial
 //    index) → fault set + input index + stratum, so any subset of trials
 //    (a shard, a resumed tail) reproduces bit-identically on any machine;
-//  * execution         — TrialExecutor: compiled ExecutionPlan, cached
-//    golden activations, per-worker Arenas, golden-prefix partial
+//  * execution         — TrialExecutor: one graph::compile() plan
+//    (Observe::kInjectable, so every fault site survives the rewrites),
+//    cached golden activations, per-worker Arenas, golden-prefix partial
 //    re-execution via Executor::run_from;
 //  * aggregation       — CampaignResult here for raw counts; the richer
 //    per-stratum / checkpointed reports live in report.hpp.
@@ -77,7 +78,7 @@ struct CampaignConfig {
   // Per-node activation formats (node name -> format), normally
   // core::int8_calibration(bounds) from the model's RangeProfiler bounds —
   // the same bounds Ranger derives its restriction thresholds from.
-  // Forwarded into PlanOptions::int8_formats; ignored for other dtypes.
+  // Forwarded into CompileOptions::int8_formats; ignored for other dtypes.
   // Deterministic given (model, seed, inputs), so it needs no checkpoint
   // fingerprint entry of its own: `dtype` already covers it.
   std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats;

@@ -377,25 +377,6 @@ tensor::Tensor Executor::run_from(const ExecutionPlan& plan,
   return execute(plan, {}, arena, hook, &golden, roots, overrides);
 }
 
-tensor::Tensor Executor::run_all(
-    const Graph& g,
-    const std::unordered_map<std::string, tensor::Tensor>& feeds,
-    std::vector<tensor::Tensor>& all_outputs, const PostOpHook& hook) const {
-  const ExecutionPlan plan(g, options_.dtype);
-  Arena arena;
-  tensor::Tensor result = execute(plan, feeds, arena, hook, nullptr, {});
-  all_outputs = arena.outputs();  // shared-storage copies
-  return result;
-}
-
-tensor::Tensor Executor::run(
-    const Graph& g,
-    const std::unordered_map<std::string, tensor::Tensor>& feeds,
-    const PostOpHook& hook) const {
-  std::vector<tensor::Tensor> outputs;
-  return run_all(g, feeds, outputs, hook);
-}
-
 int argmax(const tensor::Tensor& t) {
   const auto v = t.values();
   if (v.empty()) throw std::invalid_argument("argmax: empty tensor");

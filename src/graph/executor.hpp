@@ -9,12 +9,12 @@
 //    the fault injector, the range profiler and the detection baselines all
 //    attach here.
 //
-// Execution is plan-based: a graph is compiled once into an ExecutionPlan
-// (see plan.hpp) and then run any number of times through a reusable Arena.
-// `run_from` resumes from cached golden activations and recomputes only the
-// downstream cone of the injected node(s) — the partial re-execution that
-// makes fault-injection campaigns cheap.  The graph-based overloads remain
-// for one-shot callers; they compile a transient plan internally.
+// Execution is plan-based only: a graph is compiled once into an
+// ExecutionPlan (graph::compile, see passes.hpp) and then run any number of
+// times through a reusable Arena, whose outputs() expose every node's
+// value after a run.  `run_from` resumes from cached golden activations and
+// recomputes only the downstream cone of the injected node(s) — the
+// partial re-execution that makes fault-injection campaigns cheap.
 #pragma once
 
 #include <functional>
@@ -118,23 +118,6 @@ class Executor {
                           std::span<const NodeId> roots, Arena& arena,
                           std::span<const ConstOverride> overrides,
                           const PostOpHook& hook = nullptr) const;
-
-  // --- Graph-based execution (one-shot convenience) ---------------------
-
-  // Compiles a transient plan and runs it once.
-  tensor::Tensor run(const Graph& g,
-                     const std::unordered_map<std::string, tensor::Tensor>&
-                         feeds,
-                     const PostOpHook& hook = nullptr) const;
-
-  // As `run`, but also exposes every node's output (indexed by NodeId) via
-  // `all_outputs`; used by the profiler and by detection baselines that
-  // need intermediate activations.
-  tensor::Tensor run_all(const Graph& g,
-                         const std::unordered_map<std::string,
-                                                  tensor::Tensor>& feeds,
-                         std::vector<tensor::Tensor>& all_outputs,
-                         const PostOpHook& hook = nullptr) const;
 
   const ExecOptions& options() const { return options_; }
 

@@ -1,5 +1,6 @@
-// ExecutionPlan: a graph compiled once per (graph, datatype, options) into
-// the form the executor actually runs.  Compilation precomputes everything
+// ExecutionPlan: a graph compiled once per (graph, CompileOptions) into the
+// form the executor actually runs.  graph::compile() (graph/passes.hpp) is
+// the only way to build one.  Compilation precomputes everything
 // a fault-injection campaign would otherwise redo on every single trial:
 //
 //  * the topological schedule and per-node input lists (append order is
@@ -16,12 +17,12 @@
 //  * input-feed quantisation caching (in the Arena): a campaign re-runs the
 //    same input thousands of times, so the quantised feed is cached keyed
 //    by the feed's storage identity;
-//  * the compiled kernel per node: PlanOptions::backend picks the kernel
+//  * the compiled kernel per node: CompileOptions::backend picks the kernel
 //    backend (see ops/backend.hpp) at compile time — under the blocked
 //    backend hot ops run blocked, multi-threaded, quantisation-fused
 //    kernels that are bit-identical to the scalar reference.
 //
-// Batched plans: PlanOptions::batch = N compiles the same graph for N
+// Batched plans: CompileOptions::batch = N compiles the same graph for N
 // images per run — every Input shape's leading dimension becomes N and all
 // downstream shapes follow (Flatten keeps the batch axis: [N, h, w, c] ->
 // [N, h*w*c]).  Because every supported operator treats batch rows
@@ -67,28 +68,12 @@
 
 namespace rangerpp::graph {
 
-// The pass-based compiler entry point (graph/passes.hpp).  ExecutionPlan's
-// public constructor is a thin compatibility wrapper over it.
+// The compiler entry point (graph/passes.hpp) and the only constructor of
+// an ExecutionPlan.
 struct CompileOptions;
 struct CompileReport;
 class ExecutionPlan;
 ExecutionPlan compile(Graph g, const CompileOptions& options);
-
-struct PlanOptions {
-  // Kernel backend for every node's dense compute; defaults to
-  // RANGERPP_BACKEND (blocked when unset).
-  ops::KernelBackend backend = ops::default_backend();
-  // Images per plan run (1 = the classic single-image plan).
-  std::size_t batch = 1;
-  // Per-node int8 calibration (node name -> format), normally built by
-  // core::int8_calibration from RangeProfiler bounds.  Only consulted when
-  // the plan dtype is kInt8; nodes not in the map inherit their first
-  // input's scheme (Const nodes self-calibrate from their own values, and
-  // sourceless nodes fall back to the canonical Q4.3 format).  Keeping
-  // this a name->format map keeps the graph layer ignorant of how bounds
-  // are derived.
-  std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats;
-};
 
 // True when `g` can be compiled with batch > 1: every Input is rank-2/4
 // with a leading dimension of 1, and no node is a Reshape.
@@ -104,17 +89,6 @@ std::vector<tensor::Shape> infer_plan_shapes(const Graph& g,
 
 class ExecutionPlan {
  public:
-  // Compiles `g` for execution under `dtype`.  Takes the graph by value:
-  // pass a copy (cheap — ops are shared) or std::move a graph you no
-  // longer need.
-  //
-  // Compatibility wrapper over graph::compile() with every rewrite pass
-  // disabled (Observe::kAll, no fold/DCE/fusion, retain-all memory) — the
-  // compiled plan is identical to what this constructor built before the
-  // pass pipeline existed.  New code should call graph::compile()
-  // directly.
-  ExecutionPlan(Graph g, tensor::DType dtype, PlanOptions options = {});
-
   const Graph& graph() const { return graph_; }
   tensor::DType dtype() const { return dtype_; }
 
@@ -125,8 +99,8 @@ class ExecutionPlan {
   // patching) must use this, not the bare dtype.
   const tensor::QScheme& qscheme(NodeId id) const;
 
-  ops::KernelBackend backend() const { return options_.backend; }
-  std::size_t batch() const { return options_.batch; }
+  ops::KernelBackend backend() const { return backend_; }
+  std::size_t batch() const { return batch_; }
   std::size_t size() const { return graph_.size(); }
 
   // The per-node int8 calibration the plan was compiled with (empty for
@@ -134,7 +108,7 @@ class ExecutionPlan {
   // it when proving scheme consistency.
   const std::unordered_map<std::string, tensor::FixedPointFormat>&
   int8_formats() const {
-    return options_.int8_formats;
+    return int8_formats_;
   }
 
   // Output shape of every node (indexed by NodeId), under the plan's
@@ -189,8 +163,7 @@ class ExecutionPlan {
   const MemoryPlan& memory_plan() const { return memory_plan_; }
 
   // The compile report (per-pass trace, warnings, arena sizing) of the
-  // compilation that produced this plan.  Never null: the legacy
-  // constructor routes through graph::compile() too.
+  // compilation that produced this plan.  Never null.
   const std::shared_ptr<const CompileReport>& report() const {
     return report_;
   }
@@ -198,10 +171,9 @@ class ExecutionPlan {
  private:
   friend ExecutionPlan compile(Graph g, const CompileOptions& options);
 
-  // Tag-dispatched constructor used by graph::compile(): lowers an
-  // already-rewritten graph without re-entering the pass pipeline.
-  struct ForCompile {};
-  ExecutionPlan(ForCompile, Graph g, tensor::DType dtype, PlanOptions options,
+  // Used by graph::compile() only: lowers an already-rewritten graph
+  // under `options`' dtype, backend, batch and int8 formats.
+  ExecutionPlan(Graph g, const CompileOptions& options,
                 CompileReport* report);
   // The lowering stages (shape inference, scheme assignment, kernel
   // selection, reachability), traced into `report` when non-null.
@@ -212,7 +184,10 @@ class ExecutionPlan {
 
   Graph graph_;
   tensor::DType dtype_;
-  PlanOptions options_;
+  ops::KernelBackend backend_;
+  std::size_t batch_;
+  // Per-node int8 calibration (see CompileOptions::int8_formats).
+  std::unordered_map<std::string, tensor::FixedPointFormat> int8_formats_;
   std::uint64_t serial_ = 0;
   std::vector<tensor::Shape> shapes_;
   // Per-node output quantisation scheme (canonical except under int8).

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 
@@ -40,14 +41,17 @@ inline bool parse_i64(const char* s, std::int64_t& out) {
 }
 
 // Full-string floating-point parse (strtod grammar minus leading
-// whitespace and trailing junk).
+// whitespace and trailing junk).  Finite values only: "nan", "inf" and
+// "infinity" are refused, since NaN slips through every `< 0` or range
+// check a caller makes.
 inline bool parse_f64(const char* s, double& out) {
   if (!s || *s == '\0' || std::isspace(static_cast<unsigned char>(*s)))
     return false;
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || errno == ERANGE) return false;
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v))
+    return false;
   out = v;
   return true;
 }

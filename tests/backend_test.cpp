@@ -20,7 +20,7 @@
 #include "fi/runner.hpp"
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
-#include "graph/plan.hpp"
+#include "pass_free_plan.hpp"
 #include "ops/backend.hpp"
 #include "util/rng.hpp"
 
@@ -56,10 +56,12 @@ void check_backend_equivalence(graph::Graph g,
                                const std::string& what) {
   const graph::Executor exec({dtype});
   graph::Arena a_scalar, a_blocked;
-  const graph::ExecutionPlan scalar(
-      g, dtype, {.backend = ops::KernelBackend::kScalar});
-  const graph::ExecutionPlan blocked(
-      g, dtype, {.backend = ops::KernelBackend::kBlocked});
+  const graph::ExecutionPlan scalar =
+      pass_free_plan(g, {.dtype = dtype,
+                         .backend = ops::KernelBackend::kScalar});
+  const graph::ExecutionPlan blocked =
+      pass_free_plan(g, {.dtype = dtype,
+                         .backend = ops::KernelBackend::kBlocked});
   const tensor::Tensor out_s = exec.run(scalar, feeds, a_scalar);
   const tensor::Tensor out_b = exec.run(blocked, feeds, a_blocked);
   for (std::size_t i = 0; i < scalar.size(); ++i) {
@@ -166,9 +168,9 @@ TEST(BackendTest, BlockedBackendRunToRunBitIdentity) {
   b.activation("relu", ops::OpKind::kRelu);
   const graph::Graph g = b.finish();
   const fi::Feeds feeds{{"input", random_tensor({1, 16, 16, 8}, rng)}};
-  const graph::ExecutionPlan plan(
-      g, tensor::DType::kFixed32,
-      {.backend = ops::KernelBackend::kBlocked});
+  const graph::ExecutionPlan plan =
+      pass_free_plan(g, {.dtype = tensor::DType::kFixed32,
+                         .backend = ops::KernelBackend::kBlocked});
   const graph::Executor exec({tensor::DType::kFixed32});
   graph::Arena a1, a2;
   const tensor::Tensor first = exec.run(plan, feeds, a1);
@@ -196,13 +198,14 @@ TEST(BatchedPlanTest, BatchedRunMatchesPerImageRunsBitIdentically) {
   const graph::Graph g = small_classifier(rng);
   ASSERT_TRUE(graph::plan_supports_batch(g));
   const graph::Executor exec({tensor::DType::kFixed32});
-  const graph::ExecutionPlan single(g, tensor::DType::kFixed32);
+  const graph::ExecutionPlan single =
+      pass_free_plan(g, {.dtype = tensor::DType::kFixed32});
   // Odd batch sizes included: nothing in the contract requires powers of
   // two.
   for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
                                   std::size_t{5}, std::size_t{8}}) {
-    const graph::ExecutionPlan batched(g, tensor::DType::kFixed32,
-                                       {.batch = batch});
+    const graph::ExecutionPlan batched =
+        pass_free_plan(g, {.dtype = tensor::DType::kFixed32, .batch = batch});
     std::vector<fi::Feeds> feeds;
     for (std::size_t i = 0; i < batch; ++i)
       feeds.push_back({{"input", random_tensor({1, 10, 10, 2}, rng)}});
@@ -226,7 +229,7 @@ TEST(BatchedPlanTest, ReshapeGraphsRefuseBatch) {
   const graph::Graph g = b.finish();
   EXPECT_FALSE(graph::plan_supports_batch(g));
   EXPECT_THROW(
-      graph::ExecutionPlan(g, tensor::DType::kFloat32, {.batch = 2}),
+      pass_free_plan(g, {.dtype = tensor::DType::kFloat32, .batch = 2}),
       std::invalid_argument);
 }
 
@@ -331,10 +334,12 @@ void check_simd_tolerance(graph::Graph g, const fi::Feeds& feeds,
                           tensor::DType dtype, const std::string& what) {
   const graph::Executor exec({dtype});
   graph::Arena a_scalar, a_simd;
-  const graph::ExecutionPlan scalar(
-      g, dtype, {.backend = ops::KernelBackend::kScalar});
-  const graph::ExecutionPlan simd(
-      g, dtype, {.backend = ops::KernelBackend::kSimd});
+  const graph::ExecutionPlan scalar =
+      pass_free_plan(g, {.dtype = dtype,
+                         .backend = ops::KernelBackend::kScalar});
+  const graph::ExecutionPlan simd =
+      pass_free_plan(g, {.dtype = dtype,
+                         .backend = ops::KernelBackend::kSimd});
   const tensor::Tensor out_s = exec.run(scalar, feeds, a_scalar);
   const tensor::Tensor out_v = exec.run(simd, feeds, a_simd);
   for (std::size_t i = 0; i < scalar.size(); ++i) {
@@ -393,10 +398,12 @@ TEST(SimdBackendTest, MixedGraphToleranceAndArgmaxAgreement) {
   util::Rng rng(61);
   const graph::Graph g = small_classifier(rng);
   const graph::Executor exec({tensor::DType::kFixed32});
-  const graph::ExecutionPlan scalar(
-      g, tensor::DType::kFixed32, {.backend = ops::KernelBackend::kScalar});
-  const graph::ExecutionPlan simd(
-      g, tensor::DType::kFixed32, {.backend = ops::KernelBackend::kSimd});
+  const graph::ExecutionPlan scalar =
+      pass_free_plan(g, {.dtype = tensor::DType::kFixed32,
+                         .backend = ops::KernelBackend::kScalar});
+  const graph::ExecutionPlan simd =
+      pass_free_plan(g, {.dtype = tensor::DType::kFixed32,
+                         .backend = ops::KernelBackend::kSimd});
   std::vector<tensor::Tensor> outs_s, outs_v;
   graph::Arena a1, a2;
   for (int i = 0; i < 8; ++i) {
@@ -420,8 +427,9 @@ TEST(SimdBackendTest, RunToRunBitIdentity) {
   b.activation("relu", ops::OpKind::kRelu);
   const graph::Graph g = b.finish();
   const fi::Feeds feeds{{"input", random_tensor({1, 16, 16, 8}, rng)}};
-  const graph::ExecutionPlan plan(
-      g, tensor::DType::kFixed32, {.backend = ops::KernelBackend::kSimd});
+  const graph::ExecutionPlan plan =
+      pass_free_plan(g, {.dtype = tensor::DType::kFixed32,
+                         .backend = ops::KernelBackend::kSimd});
   const graph::Executor exec({tensor::DType::kFixed32});
   graph::Arena a1, a2;
   const tensor::Tensor first = exec.run(plan, feeds, a1);

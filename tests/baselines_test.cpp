@@ -6,7 +6,7 @@
 #include "baselines/symptom.hpp"
 #include "baselines/tmr.hpp"
 #include "graph/builder.hpp"
-#include "graph/plan.hpp"
+#include "pass_free_plan.hpp"
 
 namespace rangerpp::baselines {
 namespace {
@@ -45,13 +45,13 @@ fi::FaultSet small_fault() { return {{"conv1", 5, 0}}; }
 
 TEST(Tmr, CorrectsAnySingleFault) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   graph::Arena arena;
   Tmr tmr;
   tmr.prepare(plan, {});
   const graph::Executor exec({DType::kFixed32});
   const fi::Feeds feeds = profile_feeds()[0];
-  const Tensor golden = exec.run(g, feeds);
+  const Tensor golden = exec.run(plan, feeds, arena);
 
   // The high-order-bit fault must reach the output and be outvoted; the
   // low-order-bit one may be masked by the maxpool (no mismatch to see),
@@ -68,7 +68,7 @@ TEST(Tmr, CorrectsAnySingleFault) {
 
 TEST(Tmr, NoFalsePositiveWithoutFault) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   graph::Arena arena;
   Tmr tmr;
   const TrialOutcome o = tmr.run_trial(plan, arena, profile_feeds()[0], {});
@@ -77,7 +77,7 @@ TEST(Tmr, NoFalsePositiveWithoutFault) {
 
 TEST(SelectiveDuplication, SelectsWithinBudgetAndDetectsCoveredFaults) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   graph::Arena arena;
   SelectiveDuplication dup(30.0);
   dup.prepare(plan, {});
@@ -105,13 +105,13 @@ TEST(SelectiveDuplication, SelectsWithinBudgetAndDetectsCoveredFaults) {
 
 TEST(SymptomDetector, FlagsLargeDeviationsAndReExecutes) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   graph::Arena arena;
   SymptomDetector det(1.1);
   det.prepare(plan, profile_feeds());
   const graph::Executor exec({DType::kFixed32});
   const fi::Feeds feeds = profile_feeds()[0];
-  const Tensor golden = exec.run(g, feeds);
+  const Tensor golden = exec.run(plan, feeds, arena);
 
   const TrialOutcome big = det.run_trial(plan, arena, feeds, big_fault());
   EXPECT_TRUE(big.detected);
@@ -126,13 +126,13 @@ TEST(SymptomDetector, FlagsLargeDeviationsAndReExecutes) {
 
 TEST(MlCorrector, CorrectsFlaggedLayerInPlace) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   graph::Arena arena;
   MlCorrector ml(/*calibration_trials=*/50);
   ml.prepare(plan, profile_feeds());
   const graph::Executor exec({DType::kFixed32});
   const fi::Feeds feeds = profile_feeds()[0];
-  const Tensor golden = exec.run(g, feeds);
+  const Tensor golden = exec.run(plan, feeds, arena);
 
   // Fault directly at an activation layer: flagged and clamped back.
   const TrialOutcome o = ml.run_trial(plan, arena, feeds, {{"relu1", 3, 28}});
@@ -148,7 +148,7 @@ TEST(MlCorrector, CorrectsFlaggedLayerInPlace) {
 
 TEST(AbftConv, DetectsConvFaultsOnly) {
   const graph::Graph g = small_net();
-  const graph::ExecutionPlan plan(g, DType::kFixed32);
+  const graph::ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   graph::Arena arena;
   AbftConv abft;
   abft.prepare(plan, {});

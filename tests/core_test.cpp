@@ -11,6 +11,7 @@
 #include "core/restrict_op.hpp"
 #include "fi/campaign.hpp"
 #include "graph/builder.hpp"
+#include "pass_free_plan.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -172,7 +173,8 @@ std::map<std::string, ReferenceLayer> serial_reference(
                                                        n.id)))});
   }
   const graph::Executor exec({tensor::DType::kFloat32});
-  const graph::ExecutionPlan plan(g, tensor::DType::kFloat32);
+  const graph::ExecutionPlan plan =
+      pass_free_plan(g, tensor::DType::kFloat32);
   graph::Arena arena;
   for (const fi::Feeds& feeds : samples)
     exec.run(plan, feeds, arena,
@@ -281,10 +283,14 @@ TEST(RangerTransform, PreservesFaultFreeOutput) {
   const Bounds bounds = prof.derive_bounds(g, const_feeds(1.0f));
   const graph::Graph protected_g = RangerTransform{}.apply(g, bounds);
 
+  const graph::ExecutionPlan p0 = pass_free_plan(g, tensor::DType::kFloat32);
+  const graph::ExecutionPlan p1 =
+      pass_free_plan(protected_g, tensor::DType::kFloat32);
   const graph::Executor exec;
+  graph::Arena a0, a1;
   for (const fi::Feeds& feeds : const_feeds(1.0f)) {
-    const Tensor y0 = exec.run(g, feeds);
-    const Tensor y1 = exec.run(protected_g, feeds);
+    const Tensor y0 = exec.run(p0, feeds, a0);
+    const Tensor y1 = exec.run(p1, feeds, a1);
     ASSERT_EQ(y0.elements(), y1.elements());
     for (std::size_t i = 0; i < y0.elements(); ++i)
       EXPECT_FLOAT_EQ(y0.at(i), y1.at(i));
@@ -295,7 +301,11 @@ TEST(RangerTransform, RestrictsInjectedFault) {
   const graph::Graph g = relu_pool_net();
   const Bounds bounds{{"relu", {0.0f, 4.0f}}};
   const graph::Graph protected_g = RangerTransform{}.apply(g, bounds);
+  const graph::ExecutionPlan p0 = pass_free_plan(g, tensor::DType::kFloat32);
+  const graph::ExecutionPlan p1 =
+      pass_free_plan(protected_g, tensor::DType::kFloat32);
   const graph::Executor exec;
+  graph::Arena arena;
   const fi::Feeds feeds{{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}};
 
   // Corrupt the relu output with a huge value; the protected graph's
@@ -303,8 +313,8 @@ TEST(RangerTransform, RestrictsInjectedFault) {
   const auto corrupt = [](const graph::Node& n, Tensor& out) {
     if (n.name == "relu") out.set(0, 1e9f);
   };
-  const Tensor bad = exec.run(g, feeds, corrupt);
-  const Tensor good = exec.run(protected_g, feeds, corrupt);
+  const Tensor bad = exec.run(p0, feeds, arena, corrupt);
+  const Tensor good = exec.run(p1, feeds, arena, corrupt);
   float bad_max = 0.0f, good_max = 0.0f;
   for (float v : bad.values()) bad_max = std::max(bad_max, v);
   for (float v : good.values()) good_max = std::max(good_max, v);
@@ -370,11 +380,10 @@ TEST(RestrictionPolicies, TransformHonoursPolicyChoice) {
   const Bounds bounds{{"relu", {0.0f, 1.0f}}};
   const graph::Graph zeroed =
       RangerTransform{{RestrictionPolicy::kZero}}.apply(g, bounds);
-  const graph::Executor exec;
   const fi::Feeds feeds{{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}};
   // relu outputs exceed 1.0 for this input, so zero-reset nukes them and
   // the final output collapses to 0 — the accuracy catastrophe of §VI-C.
-  const Tensor y = exec.run(zeroed, feeds);
+  const Tensor y = float_output(zeroed, feeds);
   for (float v : y.values()) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 

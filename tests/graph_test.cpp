@@ -5,6 +5,7 @@
 #include "graph/builder.hpp"
 #include "graph/executor.hpp"
 #include "graph/graph.hpp"
+#include "pass_free_plan.hpp"
 
 namespace rangerpp::graph {
 namespace {
@@ -69,22 +70,25 @@ TEST(Graph, InferShapesEndToEnd) {
 }
 
 TEST(Executor, RunsAndFeedsValidation) {
-  const Graph g = tiny_graph();
+  const ExecutionPlan plan = pass_free_plan(tiny_graph(), DType::kFloat32);
   const Executor exec;
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 1.0f);
-  const Tensor y = exec.run(g, {{"input", x}});
+  const Tensor y = exec.run(plan, {{"input", x}}, arena);
   EXPECT_EQ(y.elements(), 8u);
-  EXPECT_THROW(exec.run(g, {}), std::invalid_argument);  // missing feed
-  EXPECT_THROW(exec.run(g, {{"input", Tensor(Shape{1, 3, 3, 1})}}),
+  EXPECT_THROW(exec.run(plan, {}, arena),
+               std::invalid_argument);  // missing feed
+  EXPECT_THROW(exec.run(plan, {{"input", Tensor(Shape{1, 3, 3, 1})}}, arena),
                std::invalid_argument);  // shape mismatch
 }
 
 TEST(Executor, HookSeesEveryComputeNodeAndCanMutate) {
-  const Graph g = tiny_graph();
+  const ExecutionPlan plan = pass_free_plan(tiny_graph(), DType::kFloat32);
   const Executor exec;
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 1.0f);
   std::vector<std::string> seen;
-  const Tensor y = exec.run(g, {{"input", x}},
+  const Tensor y = exec.run(plan, {{"input", x}}, arena,
                             [&](const Node& n, Tensor& out) {
                               seen.push_back(n.name);
                               if (n.name == "relu")
@@ -100,35 +104,24 @@ TEST(Executor, HookSeesEveryComputeNodeAndCanMutate) {
 }
 
 TEST(Executor, QuantizesThroughDatatype) {
-  const Graph g = tiny_graph();
+  const ExecutionPlan plan = pass_free_plan(tiny_graph(), DType::kFixed16);
   const Executor fx({DType::kFixed16});
+  Arena arena;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 0.37f);  // not Q13.2
-  const Tensor y = fx.run(g, {{"input", x}});
+  const Tensor y = fx.run(plan, {{"input", x}}, arena);
   // Every produced value must be representable in Q13.2 (multiples of .25).
   for (float v : y.values()) {
     EXPECT_FLOAT_EQ(v * 4.0f, std::round(v * 4.0f));
   }
 }
 
-TEST(Executor, RunAllExposesIntermediates) {
-  const Graph g = tiny_graph();
-  const Executor exec;
-  std::vector<Tensor> outputs;
-  exec.run_all(g, {{"input", Tensor::full(Shape{1, 4, 4, 1}, 1.0f)}},
-               outputs);
-  EXPECT_EQ(outputs.size(), g.size());
-  EXPECT_EQ(outputs[static_cast<std::size_t>(g.find("relu"))].elements(),
-            32u);
-}
-
 TEST(Graph, CloneIsStructurallyIdentical) {
   const Graph g = tiny_graph();
   const Graph copy = g.clone();
   ASSERT_EQ(copy.size(), g.size());
-  const Executor exec;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 0.5f);
-  const Tensor y1 = exec.run(g, {{"input", x}});
-  const Tensor y2 = exec.run(copy, {{"input", x}});
+  const Tensor y1 = float_output(g, {{"input", x}});
+  const Tensor y2 = float_output(copy, {{"input", x}});
   for (std::size_t i = 0; i < y1.elements(); ++i)
     EXPECT_FLOAT_EQ(y1.at(i), y2.at(i));
 }
@@ -150,9 +143,8 @@ TEST(Graph, ImportWithRemapSplicesNodes) {
   EXPECT_EQ(spliced.node(pool.inputs[0]).name, "relu/clamp");
 
   // Effect: outputs are restricted.
-  const Executor exec;
   const Tensor x = Tensor::full(Shape{1, 4, 4, 1}, 10.0f);
-  const Tensor y = exec.run(spliced, {{"input", x}});
+  const Tensor y = float_output(spliced, {{"input", x}});
   for (float v : y.values()) EXPECT_LE(v, 0.2f);
 }
 

@@ -13,12 +13,12 @@
 #include "models/weights.hpp"
 #include "models/workload.hpp"
 #include "models/zoo.hpp"
+#include "pass_free_plan.hpp"
 #include "util/metrics.hpp"
 
 namespace rangerpp::models {
 namespace {
 
-using graph::Executor;
 using tensor::Shape;
 using tensor::Tensor;
 
@@ -44,8 +44,7 @@ TEST_P(ZooModelTest, BuildsAndRunsEndToEnd) {
   const ModelId id = GetParam();
   const Weights w = init_weights(id, default_act(id), 42);
   const graph::Graph g = build_model(id, default_act(id), w);
-  const Executor exec;
-  const Tensor out = exec.run(g, {{"input", input_for(id)}});
+  const Tensor out = float_output(g, {{"input", input_for(id)}});
   if (is_steering(id)) {
     EXPECT_EQ(out.elements(), 1u);
   } else {
@@ -82,9 +81,8 @@ TEST_P(ZooModelTest, RangerTransformPreservesFaultFreeOutput) {
   const graph::Graph protected_g = core::RangerTransform{}.apply(g, bounds);
   EXPECT_GT(protected_g.size(), g.size());
 
-  const Executor exec;
-  const Tensor y0 = exec.run(g, {{"input", input_for(id)}});
-  const Tensor y1 = exec.run(protected_g, {{"input", input_for(id)}});
+  const Tensor y0 = float_output(g, {{"input", input_for(id)}});
+  const Tensor y1 = float_output(protected_g, {{"input", input_for(id)}});
   ASSERT_EQ(y0.elements(), y1.elements());
   for (std::size_t i = 0; i < y0.elements(); ++i)
     EXPECT_FLOAT_EQ(y0.at(i), y1.at(i)) << model_name(id);
@@ -165,8 +163,7 @@ TEST(Workload, UntrainedClassifierWorkload) {
   EXPECT_EQ(w.profile_feeds.size(), 5u);
   EXPECT_EQ(w.validation.samples.size(), 10u);
   // The graph runs on its own eval feeds.
-  const Executor exec;
-  const Tensor out = exec.run(w.graph, w.eval_feeds[0]);
+  const Tensor out = float_output(w.graph, w.eval_feeds[0]);
   EXPECT_EQ(out.elements(), 10u);
 }
 

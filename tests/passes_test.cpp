@@ -1,7 +1,8 @@
 // Per-pass unit tests for the plan compiler (graph/passes.hpp): constant
-// folding, dead-node elimination, the fusion rewrite, Ranger insertion as
-// a pass, int8-format validation — plus the compiler's determinism
-// contract: compiled output bit-identical to the pass-free legacy plan.
+// folding, dead-node elimination, the fusion rewrite, int8-format
+// validation, protected graphs under the default pipeline — plus the
+// compiler's determinism contract: compiled output bit-identical to the
+// pass-free plan, compile(g, {.observe = Observe::kAll}).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "ops/basic_ops.hpp"
 #include "ops/elementwise_ops.hpp"
 #include "ops/fused_op.hpp"
+#include "pass_free_plan.hpp"
 #include "util/rng.hpp"
 
 namespace rangerpp::graph {
@@ -84,8 +86,8 @@ Feeds conv_feed(std::uint64_t seed) {
 // --- Constant folding --------------------------------------------------------
 
 TEST(ConstFoldPass, FoldsUnobservableConstOnlyNode) {
-  const ExecutionPlan legacy(const_expr_graph(false),
-                             tensor::DType::kFixed32);
+  const ExecutionPlan reference =
+      pass_free_plan(const_expr_graph(false), tensor::DType::kFixed32);
   const ExecutionPlan fused =
       compile(const_expr_graph(false), {.dtype = tensor::DType::kFixed32});
 
@@ -101,7 +103,7 @@ TEST(ConstFoldPass, FoldsUnobservableConstOnlyNode) {
       {"in", tensor::Tensor(tensor::Shape{1, 4}, {1.f, 2.f, -3.f, 0.5f})}};
   const Executor exec({tensor::DType::kFixed32});
   Arena a1, a2;
-  EXPECT_TRUE(bits_equal(exec.run(legacy, feeds, a1),
+  EXPECT_TRUE(bits_equal(exec.run(reference, feeds, a1),
                          exec.run(fused, feeds, a2)));
 }
 
@@ -206,18 +208,18 @@ TEST(FusionPass, ChainsThroughActivations) {
   EXPECT_NE(p.graph().find("flatten"), kInvalidNode);
 }
 
-TEST(FusionPass, BitIdenticalToLegacyAcrossDtypes) {
+TEST(FusionPass, BitIdenticalToPassFreeAcrossDtypes) {
   const Feeds feeds = conv_feed(11);
   for (const tensor::DType dtype :
        {tensor::DType::kFloat32, tensor::DType::kFixed32,
         tensor::DType::kFixed16, tensor::DType::kInt8}) {
     const Executor exec({dtype});
-    const ExecutionPlan legacy(conv_net(7), dtype);
+    const ExecutionPlan reference = pass_free_plan(conv_net(7), dtype);
     const ExecutionPlan fused = compile(
         conv_net(7), {.dtype = dtype, .observe = Observe::kNone});
-    ASSERT_LT(fused.size(), legacy.size());
+    ASSERT_LT(fused.size(), reference.size());
     Arena a1, a2;
-    EXPECT_TRUE(bits_equal(exec.run(legacy, feeds, a1),
+    EXPECT_TRUE(bits_equal(exec.run(reference, feeds, a1),
                            exec.run(fused, feeds, a2)))
         << "dtype " << static_cast<int>(dtype);
   }
@@ -227,7 +229,8 @@ TEST(FusionPass, BitIdenticalUnderBlockedAndToleratedUnderSimd) {
   const Feeds feeds = conv_feed(13);
   const tensor::DType dtype = tensor::DType::kFixed32;
   const Executor exec({dtype});
-  const ExecutionPlan reference(conv_net(7), dtype);  // scalar-equal
+  const ExecutionPlan reference =
+      pass_free_plan(conv_net(7), dtype);  // scalar-equal
   Arena a0;
   const tensor::Tensor ref = exec.run(reference, feeds, a0);
 
@@ -251,56 +254,33 @@ TEST(FusionPass, BitIdenticalUnderBlockedAndToleratedUnderSimd) {
       << report.mismatched << " elements outside tolerance";
 }
 
-TEST(FusionPass, Int8SchemesMatchLegacyPlan) {
+TEST(FusionPass, Int8SchemesMatchPassFreePlan) {
   // The fused node's plan scheme must equal the erased last stage's —
   // otherwise downstream inheritance (and hooks) would quantise under a
   // different format than the unfused plan.
-  const ExecutionPlan legacy(conv_net(7), tensor::DType::kInt8);
+  const ExecutionPlan reference =
+      pass_free_plan(conv_net(7), tensor::DType::kInt8);
   const ExecutionPlan fused = compile(
       conv_net(7),
       {.dtype = tensor::DType::kInt8, .observe = Observe::kNone});
-  const NodeId l = legacy.graph().find("act1");
+  const NodeId r = reference.graph().find("act1");
   const NodeId f = fused.graph().find("act1");
-  ASSERT_NE(l, kInvalidNode);
+  ASSERT_NE(r, kInvalidNode);
   ASSERT_NE(f, kInvalidNode);
-  EXPECT_EQ(legacy.qscheme(l).fmt.frac_bits, fused.qscheme(f).fmt.frac_bits);
+  EXPECT_EQ(reference.qscheme(r).fmt.frac_bits,
+            fused.qscheme(f).fmt.frac_bits);
 }
 
-// --- Ranger insertion as a pass ----------------------------------------------
+// --- Protected graphs -------------------------------------------------------
 
-TEST(RangerPass, EquivalentToSeparateTransform) {
-  core::Bounds bounds;
-  bounds["act1"] = core::Bound{0.0f, 1.5f};
-  const Graph g = conv_net(7);
-
-  const Graph transformed = core::RangerTransform{}.apply(g, bounds);
-  const ExecutionPlan two_step(transformed, tensor::DType::kFixed32);
-  // kAll: the only pipeline difference is the ranger pass itself.
-  const ExecutionPlan one_step =
-      compile(g, {.dtype = tensor::DType::kFixed32,
-                  .observe = Observe::kAll,
-                  .ranger = core::ranger_pass(bounds)});
-
-  ASSERT_EQ(one_step.size(), two_step.size());
-  for (const Node& n : two_step.graph().nodes())
-    EXPECT_EQ(one_step.graph().find(n.name), n.id) << n.name;
-  EXPECT_NE(one_step.graph().find("act1/ranger"), kInvalidNode);
-
-  const Feeds feeds = conv_feed(17);
-  const Executor exec({tensor::DType::kFixed32});
-  Arena a1, a2;
-  EXPECT_TRUE(bits_equal(exec.run(two_step, feeds, a1),
-                         exec.run(one_step, feeds, a2)));
-}
-
-TEST(RangerPass, RestrictionOpsSurviveDefaultPipeline) {
+TEST(RangerTransform, RestrictionOpsSurviveDefaultPipeline) {
   core::Bounds bounds;
   bounds["act1"] = core::Bound{0.0f, 1.5f};
   // Default observe (kInjectable) with all rewrites on: the inserted
   // clamp is injectable, so fold/dce/fuse must leave it alone.
   const ExecutionPlan p =
-      compile(conv_net(7), {.dtype = tensor::DType::kFixed32,
-                            .ranger = core::ranger_pass(bounds)});
+      compile(core::RangerTransform{}.apply(conv_net(7), bounds),
+              {.dtype = tensor::DType::kFixed32});
   EXPECT_NE(p.graph().find("act1/ranger"), kInvalidNode);
 }
 
@@ -319,15 +299,23 @@ TEST(ValidatePass, WarnsOnUnknownInt8FormatKeys) {
 
 // --- Entry point / report ----------------------------------------------------
 
-TEST(Compile, LegacyConstructorIsPassFree) {
-  const Graph g = conv_net(7);
-  const ExecutionPlan legacy(g, tensor::DType::kFixed32);
-  // No rewrite fired: every source node survives by name.
-  ASSERT_EQ(legacy.size(), g.size());
-  for (const Node& n : g.nodes())
-    EXPECT_EQ(legacy.graph().find(n.name), n.id);
-  EXPECT_EQ(legacy.memory_mode(), MemoryMode::kRetainAll);
-  ASSERT_NE(legacy.report(), nullptr);
+TEST(Compile, ObserveAllIsPassFree) {
+  Graph g = conv_net(7);
+  // A Const nothing reads: not even DCE may drop it under kAll.
+  g.add("unused", std::make_shared<ops::ConstOp>(tensor::Tensor::full(
+                      tensor::Shape{1, 4}, 1.0f)),
+        {});
+  ASSERT_EQ(g.node(g.output()).name, "softmax");
+  const ExecutionPlan p =
+      compile(g, {.dtype = tensor::DType::kFixed32, .observe = Observe::kAll});
+  // No rewrite fired: every source node survives by name and id.
+  ASSERT_EQ(p.size(), g.size());
+  for (const Node& n : g.nodes()) {
+    EXPECT_EQ(p.graph().find(n.name), n.id) << n.name;
+    EXPECT_EQ(p.graph().node(n.id).op->kind(), n.op->kind()) << n.name;
+  }
+  EXPECT_EQ(p.memory_mode(), MemoryMode::kRetainAll);
+  ASSERT_NE(p.report(), nullptr);
 }
 
 TEST(Compile, ReportTracesPassesAndArenaBytes) {

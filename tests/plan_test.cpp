@@ -2,7 +2,7 @@
 //
 // The load-bearing property: for any graph, any injected node, and any
 // datatype, run_from over a compiled plan is *bit-identical* to a full
-// run_all with the same injection hook.  Randomised graphs exercise the
+// run with the same injection hook.  Randomised graphs exercise the
 // element-sparse kernels (conv, pool, elementwise, bias, batchnorm, LRN,
 // concat, residual add) as well as the dense fallbacks (matmul, softmax).
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "graph/executor.hpp"
 #include "graph/plan.hpp"
 #include "fi/fault_model.hpp"
+#include "pass_free_plan.hpp"
 #include "util/rng.hpp"
 
 namespace rangerpp::graph {
@@ -116,7 +117,7 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b,
 }
 
 // For random graphs, every injectable node k and all three dtypes:
-// run_from(plan, golden, k, hook) must equal a full run_all with the same
+// run_from(plan, golden, k, hook) must equal a full run with the same
 // hook, node by node, bit for bit.
 TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
   const DType dtypes[] = {DType::kFloat32, DType::kFixed32, DType::kFixed16};
@@ -127,8 +128,8 @@ TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
     const std::unordered_map<std::string, Tensor> feeds{{"input", x}};
     for (const DType dtype : dtypes) {
       const Executor exec({dtype});
-      const ExecutionPlan plan(g, dtype);
-      Arena arena;
+      const ExecutionPlan plan = pass_free_plan(g, dtype);
+      Arena arena, full_arena;
       exec.run(plan, feeds, arena);
       const std::vector<Tensor> golden = arena.outputs();
 
@@ -144,8 +145,8 @@ TEST(ExecutionPlan, PartialRunBitIdenticalToFullRun) {
         const fi::FaultSet faults{{n.name, element, bit}};
         const PostOpHook hook = fi::make_injection_hook(g, dtype, faults);
 
-        std::vector<Tensor> full_outputs;
-        const Tensor full = exec.run_all(g, feeds, full_outputs, hook);
+        const Tensor full = exec.run(plan, feeds, full_arena, hook);
+        const std::vector<Tensor>& full_outputs = full_arena.outputs();
         const Tensor partial = exec.run_from(plan, golden, n.id, arena, hook);
         expect_bitwise_equal(partial, full,
                              "output (seed " + std::to_string(seed) +
@@ -171,8 +172,8 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
   const Tensor x = random_tensor(g.node(0).op->infer_shape({}), rng);
   const std::unordered_map<std::string, Tensor> feeds{{"input", x}};
   const Executor exec({DType::kFixed32});
-  const ExecutionPlan plan(g, DType::kFixed32);
-  Arena arena;
+  const ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
+  Arena arena, full_arena;
   exec.run(plan, feeds, arena);
   const std::vector<Tensor> golden = arena.outputs();
 
@@ -183,7 +184,7 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
     for (const auto& f : faults) roots.push_back(g.find(f.node_name));
     const PostOpHook hook = fi::make_injection_hook(g, DType::kFixed32,
                                                     faults);
-    const Tensor full = exec.run(g, feeds, hook);
+    const Tensor full = exec.run(plan, feeds, full_arena, hook);
     const Tensor partial = exec.run_from(plan, golden, roots, arena, hook);
     expect_bitwise_equal(partial, full, "multi-root trial");
   }
@@ -194,7 +195,7 @@ TEST(ExecutionPlan, MultiRootPartialRun) {
 TEST(ExecutionPlan, ReachabilityMatchesBruteForce) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     const Graph g = random_graph(seed);
-    const ExecutionPlan plan(g, DType::kFloat32);
+    const ExecutionPlan plan = pass_free_plan(g, DType::kFloat32);
     const std::size_t n = g.size();
     // Brute force closure.
     std::vector<std::vector<bool>> reach(n, std::vector<bool>(n, false));
@@ -225,7 +226,7 @@ TEST(ExecutionPlan, ReachabilityMatchesBruteForce) {
 
 TEST(ExecutionPlan, MarkDirtyIsUnionOfCones) {
   const Graph g = random_graph(21);
-  const ExecutionPlan plan(g, DType::kFixed32);
+  const ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
   const NodeId a = g.find("conv_a");
   const NodeId b = g.find("conv_b");
   ASSERT_NE(a, kInvalidNode);
@@ -249,7 +250,7 @@ TEST(ExecutionPlan, MarkDirtyIsUnionOfCones) {
 TEST(ExecutionPlan, ConstCacheIsPreQuantized) {
   const Graph g = random_graph(31);
   for (const DType dtype : {DType::kFixed32, DType::kFixed16}) {
-    const ExecutionPlan plan(g, dtype);
+    const ExecutionPlan plan = pass_free_plan(g, dtype);
     for (const Node& n : g.nodes()) {
       if (n.op->kind() != ops::OpKind::kConst) continue;
       const Tensor raw = n.op->compute({});
@@ -271,7 +272,7 @@ TEST(Arena, ReuseAcrossRunsAndFeeds) {
   const Tensor x1 = random_tensor(g.node(0).op->infer_shape({}), rng);
   const Tensor x2 = random_tensor(g.node(0).op->infer_shape({}), rng);
   const Executor exec({DType::kFixed32});
-  const ExecutionPlan plan(g, DType::kFixed32);
+  const ExecutionPlan plan = pass_free_plan(g, DType::kFixed32);
 
   Arena fresh1, fresh2;
   const Tensor y1 = exec.run(plan, {{"input", x1}}, fresh1);
@@ -286,7 +287,7 @@ TEST(Arena, ReuseAcrossRunsAndFeeds) {
   }
 
   // Rebinding to a different plan resets cleanly.
-  const ExecutionPlan plan16(g, DType::kFixed16);
+  const ExecutionPlan plan16 = pass_free_plan(g, DType::kFixed16);
   const Executor exec16({DType::kFixed16});
   const Tensor y16 = exec16.run(plan16, {{"input", x1}}, reused);
   Arena fresh16;
@@ -311,8 +312,8 @@ TEST(ExecutionPlan, ProtectedGraphReplaysByName) {
 
   const DType dtype = DType::kFixed32;
   const Executor exec({dtype});
-  const ExecutionPlan plan(prot, dtype);
-  Arena arena;
+  const ExecutionPlan plan = pass_free_plan(prot, dtype);
+  Arena arena, full_arena;
   exec.run(plan, {{"input", x}}, arena);
   const std::vector<Tensor> golden = arena.outputs();
 
@@ -331,7 +332,7 @@ TEST(ExecutionPlan, ProtectedGraphReplaysByName) {
     ASSERT_NE(replay, kInvalidNode) << n.name;
     const fi::FaultSet faults{{n.name, 0, 28}};
     const PostOpHook hook = fi::make_injection_hook(prot, dtype, faults);
-    const Tensor full = exec.run(prot, {{"input", x}}, hook);
+    const Tensor full = exec.run(plan, {{"input", x}}, full_arena, hook);
     const Tensor partial =
         exec.run_from(plan, golden, replay, arena, hook);
     expect_bitwise_equal(partial, full, "protected replay at " + n.name);

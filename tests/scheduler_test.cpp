@@ -163,6 +163,8 @@ TEST(SchedulerWire, ParserIsStrict) {
   EXPECT_THROW(parse_suite_spec("faults=b0\n"), std::invalid_argument);
   EXPECT_THROW(parse_suite_spec("faults=wmulti\n"), std::invalid_argument);
   EXPECT_THROW(parse_suite_spec("target_ci=-1\n"), std::invalid_argument);
+  // NaN would pass the `< 0` check and silently turn early stop off.
+  EXPECT_THROW(parse_suite_spec("target_ci=nan\n"), std::invalid_argument);
 }
 
 TEST(SchedulerSubmit, RejectsShardedSpecsAndDuplicateNames) {

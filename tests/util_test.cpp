@@ -46,6 +46,13 @@ TEST(Parse, I64AndF64) {
   EXPECT_DOUBLE_EQ(d, -1000.0);
   EXPECT_FALSE(parse_f64("2.5pct", d));
   EXPECT_FALSE(parse_f64("", d));
+  // Non-finite values pass every `< 0` check a caller makes: refused.
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity",
+                          "-Infinity", "1e400"}) {
+    d = 2.5;
+    EXPECT_FALSE(parse_f64(bad, d)) << bad;
+    EXPECT_DOUBLE_EQ(d, 2.5) << bad;
+  }
 }
 
 TEST(Env, EnvSizeWarnsAndKeepsDefaultOnMalformedValues) {

@@ -14,6 +14,7 @@
 #include "fi/suite.hpp"
 #include "fi/weight_fault.hpp"
 #include "graph/builder.hpp"
+#include "pass_free_plan.hpp"
 #include "ops/backend.hpp"
 
 namespace rangerpp::fi {
@@ -184,6 +185,7 @@ TEST(EccModel, TokensRoundTrip) {
   EXPECT_EQ(ecc_from_token("secded")->kind, EccKind::kSecDed);
   EXPECT_DOUBLE_EQ(ecc_from_token("cov0.25")->coverage, 0.25);
   EXPECT_FALSE(ecc_from_token("cov1.5").has_value());
+  EXPECT_FALSE(ecc_from_token("covnan").has_value());
   EXPECT_FALSE(ecc_from_token("parity").has_value());
 }
 
@@ -195,7 +197,7 @@ TEST(EccModel, TokensRoundTrip) {
 TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
   const DType dtype = DType::kFixed32;
   const graph::Graph g = weight_net();
-  const graph::ExecutionPlan plan(g, dtype);
+  const graph::ExecutionPlan plan = pass_free_plan(g, dtype);
   const graph::Executor exec({dtype});
   const Feeds feeds = two_inputs()[0];
 
@@ -221,9 +223,9 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
   b.dense("fc2", Tensor::full(Shape{8, 4}, 0.1f), Tensor(Shape{4}),
           /*injectable=*/false);
   const graph::Graph rebuilt = b.finish();
+  const graph::ExecutionPlan rebuilt_plan = pass_free_plan(rebuilt, dtype);
   graph::Arena ra;
-  const Tensor expected =
-      exec.run(graph::ExecutionPlan(rebuilt, dtype), feeds, ra);
+  const Tensor expected = exec.run(rebuilt_plan, feeds, ra);
 
   graph::Arena arena;
   const Tensor full = exec.run(plan, feeds, arena, overrides);
@@ -247,7 +249,7 @@ TEST(ConstOverride, MatchesRebuiltGraphBitExactly) {
 TEST(ConstOverride, CrossGraphReplayIgnoresAbsentAndForeignNames) {
   const DType dtype = DType::kFixed32;
   const graph::Graph g = weight_net();
-  const graph::ExecutionPlan plan(g, dtype);
+  const graph::ExecutionPlan plan = pass_free_plan(g, dtype);
 
   // Names absent from the graph — and names that resolve to non-Const
   // nodes — produce no overrides (the make_injection_hook contract,
@@ -292,19 +294,21 @@ TEST(InjectionHookReplay, AbsentNodeNamesAreIgnoredAcrossGraphs) {
   const SiteSpace sites(graph_a, DType::kFixed32);
   ASSERT_GT(sites.elements_of("extra"), 0u);
   const Feeds feeds{{"input", Tensor::full(Shape{1, 4}, 1.0f)}};
+  const graph::ExecutionPlan plan_b = pass_free_plan(graph_b, DType::kFixed32);
   const graph::Executor exec({DType::kFixed32});
-  const Tensor golden_b = exec.run(graph_b, feeds);
+  graph::Arena arena;
+  const Tensor golden_b = exec.run(plan_b, feeds, arena);
 
   // A fault on the node graph B lacks is a no-op there...
   const Tensor replay_absent = exec.run(
-      graph_b, feeds,
+      plan_b, feeds, arena,
       make_injection_hook(graph_b, DType::kFixed32, {{"extra", 0, 30}}));
   for (std::size_t i = 0; i < replay_absent.elements(); ++i)
     EXPECT_EQ(replay_absent.at(i), golden_b.at(i));
 
   // ...while a fault on a shared name still injects.
   const Tensor replay_shared = exec.run(
-      graph_b, feeds,
+      plan_b, feeds, arena,
       make_injection_hook(graph_b, DType::kFixed32,
                           {{"fc/bias_add", 0, 30}}));
   EXPECT_NE(replay_shared.at(0), golden_b.at(0));

@@ -13,6 +13,7 @@
 #include "graph/executor.hpp"
 #include "models/workload.hpp"
 #include "models/zoo.hpp"
+#include "pass_free_plan.hpp"
 #include "util/metrics.hpp"
 
 namespace rangerpp::models {
@@ -132,8 +133,9 @@ class DtypeModelTest
 
 TEST_P(DtypeModelTest, QuantisedForwardProducesFiniteRepresentableValues) {
   const auto [id, dtype] = GetParam();
-  const graph::Graph g = he_graph(id);
+  const graph::ExecutionPlan plan = pass_free_plan(he_graph(id), dtype);
   const graph::Executor exec({dtype});
+  graph::Arena arena;
   tensor::Shape in;
   switch (id) {
     case ModelId::kLeNet: in = tensor::Shape{1, 28, 28, 1}; break;
@@ -141,7 +143,7 @@ TEST_P(DtypeModelTest, QuantisedForwardProducesFiniteRepresentableValues) {
     default: in = tensor::Shape{1, 32, 32, 3}; break;
   }
   const tensor::Tensor out =
-      exec.run(g, {{"input", tensor::Tensor::full(in, 0.5f)}});
+      exec.run(plan, {{"input", tensor::Tensor::full(in, 0.5f)}}, arena);
   for (float v : out.values()) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_EQ(tensor::dtype_quantize(dtype, v), v)

@@ -41,7 +41,7 @@ void usage(const char* argv0) {
       "usage: %s [--model lenet|alexnet|vgg11|vgg16|resnet18|squeezenet|"
       "dave|dave-degrees|comma]\n"
       "          [--dtype float32|fixed32|fixed16] [--trials N] "
-      "[--bits 1-5] [--consecutive]\n"
+      "[--bits 1-8] [--consecutive]\n"
       "          [--percentile P] [--policy clamp|zero|random] "
       "[--dot FILE] [--seed S]\n",
       argv0);

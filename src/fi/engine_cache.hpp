@@ -61,6 +61,11 @@ class EngineCache {
   // unprotected fault stream).
   const graph::Graph& plan_graph(const SuiteSpec& spec, const SuiteCell& cell);
 
+  // The compiled executor of the cell's model, act and dtype on the
+  // protected or the plain graph; run_cell executes on the same one.
+  const TrialExecutor& executor(const SuiteSpec& spec, const SuiteCell& cell,
+                                bool is_protected);
+
   // Runs `cell` under `rc` on cached state: the plan/execution graphs of
   // the cell's technique, unprotected goldens as the judge of a
   // kRangerPaired cell, and executor arena slots from `worker_base` up
@@ -89,8 +94,6 @@ class EngineCache {
   template <typename T, typename Build>
   const T& fetch(const Key& k, Build&& build) RANGERPP_EXCLUDES(mu_);
 
-  const TrialExecutor& executor(const SuiteSpec& spec, const SuiteCell& cell,
-                                bool is_protected);
   const std::vector<tensor::Tensor>& unprotected_goldens(
       const SuiteSpec& spec, const SuiteCell& cell);
 

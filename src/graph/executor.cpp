@@ -127,7 +127,6 @@ tensor::Tensor Executor::execute(
   // of these values (pure-observer contract).
   util::trace::Span span(partial ? "exec.run_from" : "exec.run");
   std::size_t t_kernels = 0, t_pruned = 0, t_sparse = 0, t_elements = 0;
-  std::size_t t_feed_hits = 0, t_feed_builds = 0;
 
   for (const Node& n : g.nodes()) {
     const auto i = static_cast<std::size_t>(n.id);
@@ -213,9 +212,6 @@ tensor::Tensor Executor::execute(
       continue;
     }
     if (plan.is_input(n.id)) {
-      // The quantised feed is cached keyed by the feed's storage identity:
-      // a campaign re-runs the same input tensor thousands of times, and
-      // re-quantising it each trial is pure overhead.
       const auto it = feeds.find(n.name);
       if (it == feeds.end())
         throw std::invalid_argument("Executor: missing feed for input '" +
@@ -227,21 +223,12 @@ tensor::Tensor Executor::execute(
                                     n.name + "' (want " +
                                     plan.shapes()[i].to_string() + ", got " +
                                     it->second.shape().to_string() + ")");
-      Arena::FeedSlot& slot = arena.feeds_[i];
-      auto key = it->second.storage();
-      if (slot.key == key) {
-        ++t_feed_hits;
+      if (options_.dtype == tensor::DType::kFloat32) {
+        out[i] = it->second;  // shares storage, no copy
       } else {
-        ++t_feed_builds;
-        slot.key = std::move(key);
-        if (options_.dtype == tensor::DType::kFloat32) {
-          slot.quantized = it->second;  // shares storage, no copy
-        } else {
-          slot.quantized = it->second.clone();
-          quantize_tensor(plan.qscheme(n.id), slot.quantized);
-        }
+        out[i] = it->second.clone();
+        quantize_tensor(plan.qscheme(n.id), out[i]);
       }
-      out[i] = slot.quantized;
     } else if (plan.is_const(n.id)) {
       const ConstOverride* ov = find_override(n.id);
       out[i] = ov ? ov->value
@@ -281,8 +268,6 @@ tensor::Tensor Executor::execute(
     if (t_pruned) m::counter_add("exec.nodes_pruned", t_pruned);
     if (t_sparse) m::counter_add("exec.sparse_nodes", t_sparse);
     if (t_elements) m::counter_add("exec.elements_touched", t_elements);
-    if (t_feed_hits) m::counter_add("cache.feed.hit", t_feed_hits);
-    if (t_feed_builds) m::counter_add("cache.feed.build", t_feed_builds);
   }
   return out[static_cast<std::size_t>(g.output())];
 }

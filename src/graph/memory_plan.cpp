@@ -22,7 +22,7 @@ MemoryPlan plan_memory(const Graph& g,
   for (const Node& node : g.nodes()) {
     const auto i = static_cast<std::size_t>(node.id);
     const ops::OpKind k = node.op->kind();
-    // Inputs stay live (their slots double as the quantised-feed cache),
+    // Inputs stay live (peak_arena_bytes counts them for the whole run),
     // Consts live in the plan, and the graph output is the result.
     if (k == ops::OpKind::kInput || k == ops::OpKind::kConst ||
         node.id == output)

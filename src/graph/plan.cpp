@@ -325,7 +325,6 @@ void Arena::bind(const ExecutionPlan& plan) {
   plan_serial_ = plan.serial();
   plan_ = &plan;
   outputs_.assign(plan.size(), tensor::Tensor{});
-  feeds_.assign(plan.size(), FeedSlot{});
   input_scratch_.clear();
   dirty_.assign(plan.size(), false);
   roots_.assign(plan.size(), false);

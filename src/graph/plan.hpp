@@ -14,9 +14,6 @@
 //    can reuse the cached fault-free ("golden") activations for the rest;
 //  * pre-quantized Const tensors: weights are constant across trials, so
 //    encoding them through the fixed-point codec per trial is pure waste;
-//  * input-feed quantisation caching (in the Arena): a campaign re-runs the
-//    same input thousands of times, so the quantised feed is cached keyed
-//    by the feed's storage identity;
 //  * the compiled kernel per node: CompileOptions::backend picks the kernel
 //    backend (see ops/backend.hpp) at compile time — under the blocked
 //    backend hot ops run blocked, multi-threaded, quantisation-fused
@@ -238,12 +235,11 @@ tensor::Tensor slice_batch(const tensor::Tensor& batched, std::size_t index,
 tensor::Tensor tile_batch(const tensor::Tensor& single, std::size_t count,
                           const tensor::Shape& batched_shape);
 
-// Reusable per-thread execution state: node-output slots, the
-// quantised-feed cache and the dirty-set scratch buffer.  Binding an arena
-// to a different plan resets it; steady-state re-binding to the same plan
-// is free.  An arena must not outlive the plan it is bound to, and must
-// only ever be used by one thread at a time (see the plan's thread-safety
-// contract above).
+// Reusable per-thread execution state: node-output slots and the
+// dirty-set scratch buffer.  Binding an arena to a different plan resets
+// it; steady-state re-binding to the same plan is free.  An arena must
+// not outlive the plan it is bound to, and must only ever be used by one
+// thread at a time (see the plan's thread-safety contract above).
 class Arena {
  public:
   Arena() = default;
@@ -259,19 +255,9 @@ class Arena {
  private:
   friend class Executor;
 
-  struct FeedSlot {
-    // Storage identity of the raw feed this slot quantised.  Holding the
-    // shared_ptr pins the storage, so the address cannot be recycled and
-    // in-place mutation of a still-cached feed is impossible (the tensor's
-    // copy-on-write unshares instead).
-    std::shared_ptr<const std::vector<float>> key;
-    tensor::Tensor quantized;
-  };
-
   std::uint64_t plan_serial_ = 0;  // 0 = unbound
   const ExecutionPlan* plan_ = nullptr;
   std::vector<tensor::Tensor> outputs_;
-  std::vector<FeedSlot> feeds_;          // indexed by NodeId (Input nodes)
   std::vector<tensor::Tensor> input_scratch_;
   // run_from scratch: static dirty candidates, injection roots, and the
   // per-node element-level change sets of the current trial.

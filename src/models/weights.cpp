@@ -1,5 +1,8 @@
 #include "models/weights.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -68,9 +71,15 @@ Weights he_init(const Arch& arch, std::uint64_t seed) {
 }
 
 void save_weights(const Weights& w, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
+  // Stream into a private temp file in the same directory, then rename it
+  // over `path`: rename is atomic within a filesystem, so a concurrent
+  // load_weights sees either no file or a complete one, never a prefix.
+  static std::atomic<unsigned> serial{0};
+  const std::string tmp = path + ".tmp" + std::to_string(::getpid()) + "." +
+                          std::to_string(serial.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary);
   if (!out)
-    throw std::runtime_error("save_weights: cannot open " + path);
+    throw std::runtime_error("save_weights: cannot open " + tmp);
   auto put_u32 = [&out](std::uint32_t v) {
     out.write(reinterpret_cast<const char*>(&v), sizeof(v));
   };
@@ -85,13 +94,22 @@ void save_weights(const Weights& w, const std::string& path) {
     out.write(reinterpret_cast<const char*>(v.data()),
               static_cast<std::streamsize>(v.size() * sizeof(float)));
   }
-  if (!out) throw std::runtime_error("save_weights: write failed " + path);
+  out.close();
+  if (!out) {
+    std::filesystem::remove(tmp);
+    throw std::runtime_error("save_weights: write failed " + path);
+  }
+  std::filesystem::rename(tmp, path);
 }
 
 bool load_weights(Weights& w, const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return false;  // absent: the caller trains and writes the cache
-  const std::uintmax_t file_size = std::filesystem::file_size(path);
+  // Size of the file this stream opened (not of whatever `path` names
+  // now: a concurrent save_weights may have renamed a new file over it).
+  in.seekg(0, std::ios::end);
+  const auto file_size = static_cast<std::uintmax_t>(in.tellg());
+  in.seekg(0);
   // Expected byte count, accumulated from the file's own header fields as
   // they parse; a mismatch against the actual size means the file was
   // truncated by a killed writer or otherwise corrupted — fail loudly

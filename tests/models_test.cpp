@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/range_profiler.hpp"
 #include "core/ranger_transform.hpp"
@@ -267,6 +270,54 @@ TEST(WeightIo, RoundTripsAndValidatesFileSize) {
     out.write("junk", 4);
   }
   EXPECT_THROW(load_weights(t, padded), std::runtime_error);
+}
+
+// Writers rename a finished temp file over the cache path, so a reader
+// racing them sees either no file or a complete one — never a prefix
+// (which load_weights rejects as corrupt by design).
+TEST(WeightIo, ConcurrentReadersNeverSeeAPartialFile) {
+  Weights w;
+  w.emplace("big/filter", Tensor::full(Shape{64, 64, 4, 4}, 0.5f));
+  w.emplace("big/bias", Tensor::full(Shape{16}, 1.0f));
+  const std::string path = testing::TempDir() + "/weights_race.bin";
+  std::filesystem::remove(path);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> absent{0}, complete{0}, bad{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      Weights got;
+      try {
+        if (!load_weights(got, path)) {
+          ++absent;
+        } else if (got.size() == 2 &&
+                   got.at("big/filter").elements() == 64u * 64 * 4 * 4) {
+          ++complete;
+        } else {
+          ++bad;
+        }
+      } catch (const std::exception&) {
+        ++bad;
+      }
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 2; ++t)
+    writers.emplace_back([&] {
+      for (int i = 0; i < 40; ++i) save_weights(w, path);
+    });
+  for (std::thread& t : writers) t.join();
+  done = true;
+  reader.join();
+
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_GT(absent.load() + complete.load(), 0);
+  // No temp file is left behind next to the cache.
+  for (const auto& e : std::filesystem::directory_iterator(
+           std::filesystem::path(path).parent_path()))
+    EXPECT_EQ(e.path().filename().string().find("weights_race.bin.tmp"),
+              std::string::npos)
+        << e.path();
 }
 
 TEST(Workload, TrainedLeNetReachesUsableAccuracy) {

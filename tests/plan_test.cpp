@@ -264,8 +264,8 @@ TEST(ExecutionPlan, ConstCacheIsPreQuantized) {
 }
 
 // Arena reuse across repeated runs: same plan, same arena, interleaved
-// feeds — results must be stable, and the quantised-feed cache must not
-// leak stale values across different feed tensors.
+// feeds — results must be stable, and an Input slot must not leak a
+// stale quantised value across different feed tensors.
 TEST(Arena, ReuseAcrossRunsAndFeeds) {
   const Graph g = random_graph(41);
   util::Rng rng(5);

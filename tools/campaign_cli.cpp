@@ -1,138 +1,116 @@
-// campaign_cli — drive fault-injection campaigns from the shell and CI.
+// campaign_cli — drive one fault-injection campaign from the shell and
+// CI (guide: docs/CAMPAIGNS.md).  A campaign is a one-cell suite: the tool
+// compiles a SuiteSpec of one model, dtype, fault model and technique and
+// runs it through fi::EngineCache::run_cell, the path fi::Suite and the
+// scheduler daemon use, so its checkpoint is byte-identical to the
+// matching suite_cli cell file.  Unlike suite_cli it runs --trials
+// verbatim (no down-scaling for the ImageNet-scale models) and offers
+// stratified sampling.
 //
-// Run a (shard of a) campaign:
-//   campaign_cli --model lenet --trials 100 --inputs 2 --seed 2021
-//                --shard 0/2 --checkpoint shard0.jsonl [--ranger]
-//                [--dtype fixed32|fixed16|int8|float32] [--nbits K]
-//                [--consecutive] [--stratified [--bit-group N]]
-//                [--target-ci PCT] [--check-every N] [--max-new N]
-//                [--threads T] [--quiet]
-//
-// Re-running with the same --checkpoint resumes: only missing trials
-// execute, and the records are bit-identical to an uninterrupted run.
-//
-// Merge shard checkpoints into one campaign report:
+//   campaign_cli --model lenet --trials 100 --inputs 2 [--ranger]
+//                [--shard 0/2] --checkpoint shard0.jsonl
 //   campaign_cli --merge shard0.jsonl shard1.jsonl [--out merged.jsonl]
 //                [--golden single.jsonl]
 //
-// --golden compares the merged per-trial records against a reference
-// checkpoint (e.g. an unsharded run) and exits 1 on any difference — the
-// CI gate for shard-merge reproducibility.
-//
-// Weight-memory fault campaigns (persistent parameter corruption, see
-// fi/weight_fault.hpp):
-//   campaign_cli --model lenet --fault-class weight --trials 100
-//                [--weight-kind single|multi|burst|stuck0|stuck1|row]
-//                [--ecc none|secded|cov<FRACTION>] [--sweep-inputs N]
-// Trials sweep every input under one fixed fault (--trials counts the
-// faults); --sweep-inputs N is shorthand for --fault-class weight
-// --inputs N.
-//
-// Discovery: campaign_cli --list prints every model/axis token and
-// exits 0.
-//
-// Environment fallbacks (same knobs as the bench binaries): RANGERPP_TRIALS,
-// RANGERPP_INPUTS, RANGERPP_SEED, RANGERPP_SHARD (overridden by --shard).
+// Re-running with the same --checkpoint resumes: only missing trials
+// execute, and the records are bit-identical to an uninterrupted run.
+// --golden exits 1 unless the merged per-trial records equal the
+// reference checkpoint's — the CI gate for shard-merge reproducibility.
+// The flags shared with suite_cli live in tools/cli_flags.hpp.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/calibration.hpp"
-#include "core/range_profiler.hpp"
-#include "core/ranger_transform.hpp"
-#include "graph/passes.hpp"
 #include "fi/report.hpp"
-#include "fi/runner.hpp"
 #include "fi/suite.hpp"
+#include "graph/passes.hpp"
 #include "models/workload.hpp"
 #include "tools/cli_flags.hpp"
-#include "util/env.hpp"
-#include "util/metrics.hpp"
+#include "util/threadpool.hpp"
 #include "util/trace.hpp"
 
 using namespace rangerpp;
 
 namespace {
 
-using util::env_size;
+struct Options {
+  cli::CommonFlags common;
+  std::optional<models::ModelId> model;
+  tensor::DType dtype = tensor::DType::kFixed32;
+  bool ranger = false, dump_passes = false;
+  std::string checkpoint, out, golden;
+  std::vector<std::string> merge_paths;
+  fi::StratifiedOptions stratified;
+};
+
+using cli::Args;
+using cli::UsageError;
+
+// campaign_cli's own flags; the shared ones are cli::kCommonFlags.
+constexpr cli::Flag<Options> kFlags[] = {
+    {"--model", "NAME",
+     "lenet alexnet vgg11 vgg16 resnet18 squeezenet\n"
+     "dave dave-degrees comma (required)",
+     [](Options& o, Args& a) {
+       o.model = models::model_from_token(a.value());
+       if (!o.model) throw UsageError("unknown model");
+     }},
+    {"--ranger", "", "campaign on the Ranger-protected graph",
+     [](Options& o, Args&) { o.ranger = true; }},
+    {"--dtype", "D", "fixed32 (default) | fixed16 | int8 | float32",
+     [](Options& o, Args& a) {
+       const auto dtype = fi::dtype_from_token(a.value());
+       if (!dtype) throw UsageError("unknown dtype");
+       o.dtype = *dtype;
+     }},
+    {"--sweep-inputs", "N", "shorthand: --fault-class weight --inputs N",
+     [](Options& o, Args& a) {
+       o.common.fault_class = fi::FaultClass::kWeight;
+       o.common.spec.inputs = a.size_value();
+     }},
+    {"--checkpoint", "FILE",
+     "stream per-trial JSONL records (binary with a\n"
+     ".rcp suffix); resume if the file exists",
+     [](Options& o, Args& a) { o.checkpoint = a.value(); }},
+    {"--stratified", "", "stratified (layer, bit-group) sampling",
+     [](Options& o, Args&) { o.stratified.enabled = true; }},
+    {"--bit-group", "N", "bits per stratum group (default 8)",
+     [](Options& o, Args& a) {
+       o.stratified.bit_group_size = a.int_value(1, 64);
+     }},
+    {"--dump-passes", "",
+     "print the compile pipeline (per-pass timing\n"
+     "+ node counts) of the campaign's plan",
+     [](Options& o, Args&) { o.dump_passes = true; }},
+    {"--merge", "FILE...",
+     "merge shard checkpoints into one report",
+     [](Options& o, Args& a) {
+       while (a.has_operand()) o.merge_paths.push_back(a.value());
+       if (o.merge_paths.empty())
+         throw UsageError("--merge wants at least one file");
+     }},
+    {"--out", "FILE", "--merge: write the merged checkpoint",
+     [](Options& o, Args& a) { o.out = a.value(); }},
+    {"--golden", "FILE",
+     "--merge: exit 1 unless the merged records are\n"
+     "bit-identical to this checkpoint's",
+     [](Options& o, Args& a) { o.golden = a.value(); }},
+};
 
 [[noreturn]] void usage(const char* msg = nullptr) {
   if (msg) std::fprintf(stderr, "campaign_cli: %s\n\n", msg);
-  std::fprintf(
-      stderr,
-      "usage: campaign_cli --model NAME [options]\n"
-      "       campaign_cli --merge FILE... [--out FILE] [--golden FILE]\n"
-      "       campaign_cli --list\n"
-      "\n"
-      "models: lenet alexnet vgg11 vgg16 resnet18 squeezenet dave\n"
-      "        dave-degrees comma\n"
-      "options:\n"
-      "  --list               print every model/axis token and exit 0\n"
-      "  --ranger             campaign on the Ranger-protected graph\n"
-      "  --dtype D            fixed32 (default) | fixed16 | int8 |"
-      " float32\n"
-      "  --nbits K            bit flips per trial (default 1)\n"
-      "  --consecutive        burst mode: K adjacent bits in one value\n"
-      "  --fault-class C      activation (default) | weight — weight runs\n"
-      "                       the persistent-fault input sweep: --trials\n"
-      "                       counts faults, each applied to every input\n"
-      "  --weight-kind K      single (default) | multi | burst | stuck0 |\n"
-      "                       stuck1 | row (--nbits is the kind's count)\n"
-      "  --ecc E              none (default) | secded | cov<FRACTION> —\n"
-      "                       ECC filter on sampled weight faults\n"
-      "  --sweep-inputs N     shorthand: --fault-class weight --inputs N\n"
-      "  --trials N           trials per input (default $RANGERPP_TRIALS"
-      " or 1000)\n"
-      "  --inputs N           FI inputs (default $RANGERPP_INPUTS or 8)\n"
-      "  --seed S             campaign seed (default $RANGERPP_SEED or"
-      " 2021)\n"
-      "  --threads T          worker threads (default: all cores)\n"
-      "  --shard i/N          run only trials t with t%%N == i\n"
-      "  --checkpoint FILE    stream per-trial JSONL records; resume if\n"
-      "                       the file exists\n"
-      "  --stratified         stratified (layer, bit-group) sampling\n"
-      "  --bit-group N        bits per stratum group (default 8)\n"
-      "  --target-ci PCT      stop once the Wilson-95 half-width of the\n"
-      "                       first metric is below PCT percent\n"
-      "  --check-every N      batch size between checkpoint flushes and\n"
-      "                       early-stop checks (default 256)\n"
-      "  --max-new N          execute at most N new trials this run\n"
-      "  --dump-passes        print the compile pipeline (per-pass timing\n"
-      "                       + node counts) of the campaign's plan\n"
-      "  --verify-plan        run the static plan verifier (graph/verify)\n"
-      "                       on every compiled plan; refuse to run on any\n"
-      "                       violated invariant\n"
-      "  --trace FILE         write a Chrome trace-event JSON of the\n"
-      "                       compile/exec/campaign spans on exit\n"
-      "                       (RANGERPP_TRACE=FILE does the same); a pure\n"
-      "                       observer — checkpoints stay byte-identical\n"
-      "  --progress           1 Hz stderr heartbeat: trials done,\n"
-      "                       trials/sec, ETA\n"
-      "  --quiet              summary line only\n");
+  std::fprintf(stderr,
+               "usage: campaign_cli --model NAME [options]\n"
+               "       campaign_cli --merge FILE... [--out FILE] "
+               "[--golden FILE]\n"
+               "       campaign_cli --list\n"
+               "\n"
+               "options:\n");
+  cli::print_flags<Options>(stderr, kFlags);
+  cli::print_flags<cli::CommonFlags>(stderr, cli::kCommonFlags);
   std::exit(2);
-}
-
-// Checked numeric flag parsing (tools/cli_flags.hpp): a malformed value
-// exits with the usage message, never silently coerces to 0/garbage.
-std::size_t size_flag(const std::string& flag, const std::string& v) {
-  return cli::size_flag(&usage, flag, v);
-}
-int int_flag(const std::string& flag, const std::string& v, int lo,
-             int hi) {
-  return cli::int_flag(&usage, flag, v, lo, hi);
-}
-double double_flag(const std::string& flag, const std::string& v) {
-  return cli::double_flag(&usage, flag, v);
-}
-
-bool parse_dtype(const std::string& s, tensor::DType& out) {
-  const auto dtype = fi::dtype_from_token(s);
-  if (!dtype) return false;
-  out = *dtype;
-  return true;
 }
 
 // Prints the machine-greppable summary line CI jobs key on.
@@ -199,198 +177,79 @@ int run_merge(const std::vector<std::string>& paths, const std::string& out,
   return 0;
 }
 
+// The campaign as a one-cell suite on EngineCache::run_cell.
+int run_campaign(const Options& o) {
+  fi::SuiteSpec spec = o.common.spec;
+  spec.models = {*o.model};
+  spec.dtypes = {o.dtype};
+  spec.techniques = {o.ranger ? fi::Technique::kRanger
+                              : fi::Technique::kUnprotected};
+  fi::SuiteCell cell = fi::compile_suite(spec).cells.front();
+  // --trials runs verbatim: no scaled_trials for the ImageNet-scale models.
+  cell.trials_per_input = spec.trials_small;
+  cell.total_trials = cell.trials_per_input * spec.inputs;
+  fi::RunnerConfig rc = fi::cell_runner_config(spec, cell);
+  rc.checkpoint_path = o.checkpoint;
+  rc.stratified = o.stratified;
+
+  fi::EngineCache engine(util::worker_count(spec.check_every, spec.threads),
+                         spec.verify_plan);
+  if (o.dump_passes) {
+    // The plan the campaign's trials execute on, from the same cache.
+    const fi::TrialExecutor& ex = engine.executor(spec, cell, o.ranger);
+    std::printf("compile pipeline for %s:\n%s", rc.label.c_str(),
+                ex.plan().report()->to_string().c_str());
+  }
+
+  std::unique_ptr<cli::ProgressReporter> reporter;
+  if (o.common.progress)
+    reporter = std::make_unique<cli::ProgressReporter>(
+        "campaign", cell.total_trials / spec.shard_count,
+        /*with_cells=*/false);
+  const fi::CampaignReport report = engine.run_cell(spec, cell, rc);
+  reporter.reset();
+  if (!o.common.quiet) {
+    std::printf("%s  shard %zu/%zu  %s sampling\n", rc.label.c_str(),
+                rc.shard_index, rc.shard_count,
+                rc.stratified.enabled ? "stratified" : "uniform");
+    if (rc.campaign.fault_class == fi::FaultClass::kWeight)
+      std::printf("weight faults: kind=%s nbits=%d ecc=%s "
+                  "(input sweep: %zu faults x %zu inputs)\n",
+                  std::string(fi::weight_fault_kind_token(
+                                  rc.campaign.weight_fault.kind))
+                      .c_str(),
+                  rc.campaign.weight_fault.n_bits,
+                  fi::ecc_token(rc.campaign.ecc).c_str(),
+                  rc.campaign.trials_per_input, spec.inputs);
+    fi::print_report(report, models::judge_labels(cell.model));
+  }
+  print_totals(report);
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string model_arg, dtype_arg = "fixed32", checkpoint, merge_out,
-              golden;
-  std::vector<std::string> merge_paths;
-  bool merge_mode = false, ranger = false, quiet = false,
-       dump_passes = false, progress = false;
-  std::string trace_path;
-
-  fi::RunnerConfig rc;
-  rc.campaign.trials_per_input = env_size("RANGERPP_TRIALS", 1000);
-  rc.campaign.seed = env_size("RANGERPP_SEED", 2021);
-  std::size_t n_inputs = env_size("RANGERPP_INPUTS", 8);
-  if (const char* s = std::getenv("RANGERPP_SHARD")) {
-    // Same grammar --shard takes (which overrides it); a typo must not
-    // silently run the wrong slice, so anything unparseable is fatal.
-    const auto spec = util::parse_shard_spec(s);
-    if (!spec) usage("bad RANGERPP_SHARD (want i/N with i < N)");
-    rc.shard_index = spec->index;
-    rc.shard_count = spec->count;
-  }
-
-  bool weight_kind_set = false, ecc_set = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--model") model_arg = value();
-    else if (arg == "--list") {
-      cli::print_axes(stdout);
-      return 0;
-    } else if (arg == "--ranger") ranger = true;
-    else if (arg == "--dtype") dtype_arg = value();
-    else if (arg == "--nbits")
-      rc.campaign.n_bits = int_flag(arg, value(), 1, 64);
-    else if (arg == "--consecutive") rc.campaign.consecutive_bits = true;
-    else if (arg == "--fault-class") {
-      const auto cls = fi::fault_class_from_token(value());
-      if (!cls) usage("--fault-class wants activation|weight");
-      rc.campaign.fault_class = *cls;
-    } else if (arg == "--weight-kind") {
-      const auto kind = fi::weight_fault_kind_from_token(value());
-      if (!kind) usage("--weight-kind wants single|multi|burst|stuck0|"
-                       "stuck1|row");
-      rc.campaign.weight_fault.kind = *kind;
-      weight_kind_set = true;
-    } else if (arg == "--ecc") {
-      const auto ecc = fi::ecc_from_token(value());
-      if (!ecc) usage("--ecc wants none|secded|cov<FRACTION in [0,1]>");
-      rc.campaign.ecc = *ecc;
-      ecc_set = true;
-    } else if (arg == "--sweep-inputs") {
-      rc.campaign.fault_class = fi::FaultClass::kWeight;
-      n_inputs = size_flag(arg, value());
-    }
-    else if (arg == "--trials")
-      rc.campaign.trials_per_input = size_flag(arg, value());
-    else if (arg == "--inputs") n_inputs = size_flag(arg, value());
-    else if (arg == "--seed") rc.campaign.seed = size_flag(arg, value());
-    else if (arg == "--threads")
-      rc.campaign.threads =
-          static_cast<unsigned>(int_flag(arg, value(), 0, 1 << 16));
-    else if (arg == "--shard") {
-      const auto spec = util::parse_shard_spec(value().c_str());
-      if (!spec) usage("--shard wants i/N with i < N");
-      rc.shard_index = spec->index;
-      rc.shard_count = spec->count;
-    } else if (arg == "--checkpoint") rc.checkpoint_path = value();
-    else if (arg == "--stratified") rc.stratified.enabled = true;
-    else if (arg == "--bit-group")
-      rc.stratified.bit_group_size = int_flag(arg, value(), 1, 64);
-    else if (arg == "--target-ci")
-      rc.target_half_width_pct = double_flag(arg, value());
-    else if (arg == "--check-every")
-      rc.check_every = size_flag(arg, value());
-    else if (arg == "--max-new")
-      rc.max_new_trials = size_flag(arg, value());
-    else if (arg == "--dump-passes") dump_passes = true;
-    else if (arg == "--verify-plan") rc.campaign.verify_plan = true;
-    else if (arg == "--trace") trace_path = value();
-    else if (arg == "--progress") progress = true;
-    else if (arg == "--quiet") quiet = true;
-    else if (arg == "--merge") {
-      merge_mode = true;
-      while (i + 1 < argc && argv[i + 1][0] != '-')
-        merge_paths.push_back(argv[++i]);
-    } else if (arg == "--out") merge_out = value();
-    else if (arg == "--golden") golden = value();
-    else if (arg == "--help" || arg == "-h") usage();
-    else usage(("unknown flag " + arg).c_str());
-  }
-
-  // A silently ignored fault-model flag means a misread experiment —
-  // refuse the combinations that would drop one.
-  if (rc.campaign.fault_class == fi::FaultClass::kActivation &&
-      (weight_kind_set || ecc_set))
-    usage("--weight-kind/--ecc require --fault-class weight");
-  if (rc.campaign.fault_class == fi::FaultClass::kWeight &&
-      rc.campaign.consecutive_bits)
-    usage("--consecutive is the activation burst model; use "
-          "--weight-kind burst for weight faults");
-
-  // Telemetry is a pure observer: nothing below branches on it, so the
-  // checkpoint this run writes is byte-identical with it on or off.
-  if (progress) util::metrics::set_enabled(true);
-  if (!trace_path.empty())
-    util::trace::start(trace_path);
-  else
-    util::trace::start_from_env();
-
-  try {
-    if (merge_mode) {
-      if (merge_paths.empty()) usage("--merge wants at least one file");
-      return run_merge(merge_paths, merge_out, golden, quiet);
-    }
-
-    if (model_arg.empty()) usage("--model is required");
-    const auto model = models::model_from_token(model_arg);
-    if (!model) usage("unknown model");
-    const models::ModelId id = *model;
-    if (!parse_dtype(dtype_arg, rc.campaign.dtype)) usage("unknown dtype");
-    // --nbits doubles as the weight-fault kind's count parameter (flips
-    // for multi, adjacent bits for burst, elements for row).
-    rc.campaign.weight_fault.n_bits = rc.campaign.n_bits;
-
-    models::WorkloadOptions wo;
-    wo.eval_inputs = n_inputs;
-    wo.seed = rc.campaign.seed;
-    const models::Workload w = models::make_workload(id, wo);
-
-    graph::Graph protected_g;
-    const graph::Graph* g = &w.graph;
-    // Bounds serve two consumers: the Ranger transform's restriction
-    // thresholds and the int8 activation calibration.  Both derive from
-    // the same float32 range profile, so one pass covers either need.
-    const bool need_bounds =
-        ranger || rc.campaign.dtype == tensor::DType::kInt8;
-    core::Bounds bounds;
-    if (need_bounds)
-      bounds = core::RangeProfiler{}.derive_bounds(w.graph, w.profile_feeds);
-    if (rc.campaign.dtype == tensor::DType::kInt8)
-      rc.campaign.int8_formats = core::int8_calibration(bounds);
-    if (ranger) {
-      protected_g = core::RangerTransform{}.apply(w.graph, bounds);
-      g = &protected_g;
-    }
-    rc.label = models::model_name(id) + std::string(ranger ? "+ranger" : "");
-
-    if (dump_passes) {
-      // Compile the same plan the campaign's TrialExecutor will build
-      // (same dtype/calibration/observability) and show its pipeline.
-      const graph::ExecutionPlan probe = graph::compile(
-          *g, {.dtype = rc.campaign.dtype,
-               .backend = rc.campaign.backend,
-               .int8_formats = rc.campaign.int8_formats,
-               .observe = graph::Observe::kInjectable});
-      std::printf("compile pipeline for %s:\n%s", rc.label.c_str(),
-                  probe.report()->to_string().c_str());
-    }
-
-    const fi::CampaignRunner runner(rc);
-    std::unique_ptr<cli::ProgressReporter> reporter;
-    if (progress)
-      reporter = std::make_unique<cli::ProgressReporter>(
-          "campaign",
-          rc.campaign.trials_per_input * n_inputs /
-              (rc.shard_count ? rc.shard_count : 1),
-          /*with_cells=*/false);
-    const fi::CampaignReport report =
-        runner.run(*g, w.eval_feeds, models::default_judges(id));
-    reporter.reset();
-    if (!quiet) {
-      std::printf("%s  shard %zu/%zu  %s sampling\n", rc.label.c_str(),
-                  rc.shard_index, rc.shard_count,
-                  rc.stratified.enabled ? "stratified" : "uniform");
-      if (rc.campaign.fault_class == fi::FaultClass::kWeight)
-        std::printf("weight faults: kind=%s nbits=%d ecc=%s "
-                    "(input sweep: %zu faults x %zu inputs)\n",
-                    std::string(fi::weight_fault_kind_token(
-                                    rc.campaign.weight_fault.kind))
-                        .c_str(),
-                    rc.campaign.weight_fault.n_bits,
-                    fi::ecc_token(rc.campaign.ecc).c_str(),
-                    rc.campaign.trials_per_input, n_inputs);
-      fi::print_report(report, models::judge_labels(id));
-    }
-    print_totals(report);
-    util::trace::stop_and_flush();
+  Options o;
+  o.common.one_cell = true;
+  if (const auto err = cli::parse_flags<Options>({argv + 1, argv + argc},
+                                                 kFlags, o))
+    usage(err->c_str());
+  if (o.common.help) usage();
+  if (o.common.list) {
+    cli::print_axes(stdout);
     return 0;
+  }
+  const bool merge = !o.merge_paths.empty();
+  if (!merge && !o.model) usage("--model is required");
+
+  cli::start_telemetry(o.common, /*metrics=*/false);
+  try {
+    const int rc =
+        merge ? run_merge(o.merge_paths, o.out, o.golden, o.common.quiet)
+              : run_campaign(o);
+    util::trace::stop_and_flush();
+    return rc;
   } catch (const std::exception& e) {
     util::trace::stop_and_flush();
     std::fprintf(stderr, "campaign_cli: %s\n", e.what());

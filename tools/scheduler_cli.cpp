@@ -112,10 +112,6 @@ namespace {
   std::exit(2);
 }
 
-std::size_t size_flag(const std::string& flag, const std::string& v) {
-  return cli::size_flag(&usage, flag, v);
-}
-
 // ---- Protocol helpers -------------------------------------------------------
 
 constexpr std::uint8_t kSubmit = 'S', kPlan = 'P', kHeader = 'H',
@@ -525,77 +521,82 @@ int main(int argc, char** argv) {
     inline_spec += key + "=" + value + "\n";
   };
 
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--socket") {
-      so.socket_path = co.socket_path = value();
-      if (so.socket_path.empty()) usage("--socket wants a path");
-      transport_set = true;
-    } else if (arg == "--port") {
-      const int p = cli::int_flag(&usage, arg, value(), 0, 65535);
-      so.use_tcp = co.use_tcp = true;
-      so.port = co.port = static_cast<std::uint16_t>(p);
-      transport_set = true;
-    } else if (serve && arg == "--workers") {
-      so.sched.workers = static_cast<unsigned>(
-          cli::int_flag(&usage, arg, value(), 1, 1 << 10));
-    } else if (serve && arg == "--partitions") {
-      so.sched.partitions_per_cell = size_flag(arg, value());
-      if (so.sched.partitions_per_cell == 0)
-        usage("--partitions wants >= 1");
-    } else if (serve && arg == "--slice") {
-      so.sched.slice_trials = size_flag(arg, value());
-    } else if (serve && arg == "--dir") {
-      so.sched.checkpoint_dir = value();
-    } else if (serve && arg == "--verify-plan") {
-      so.sched.verify_plans = true;
-    } else if (serve && arg == "--trace") {
-      so.trace_path = value();
-      if (so.trace_path.empty()) usage("--trace wants a path");
-    } else if (serve && arg == "--crash-worker") {
-      const std::string v = value();
-      const std::size_t colon = v.find(':');
-      std::uint64_t w = 0, s = 0;
-      if (colon == std::string::npos ||
-          !util::parse_u64(v.substr(0, colon).c_str(), w) ||
-          !util::parse_u64(v.substr(colon + 1).c_str(), s))
-        usage("--crash-worker wants WORKER:SLICES");
-      so.crash_set = true;
-      so.crash_worker = static_cast<unsigned>(w);
-      so.crash_slices = static_cast<std::size_t>(s);
-    } else if (submit && arg == "--spec") {
-      spec_file = value();
-    } else if (submit && arg == "--name") spec_line("name", value());
-    else if (submit && arg == "--models") spec_line("models", value());
-    else if (submit && arg == "--acts") spec_line("acts", value());
-    else if (submit && arg == "--dtypes") spec_line("dtypes", value());
-    else if (submit && arg == "--faults") spec_line("faults", value());
-    else if (submit && arg == "--techniques")
-      spec_line("techniques", value());
-    else if (submit && arg == "--trials") spec_line("trials", value());
-    else if (submit && arg == "--trials-divisor")
-      spec_line("trials_divisor", value());
-    else if (submit && arg == "--inputs") spec_line("inputs", value());
-    else if (submit && arg == "--seed") spec_line("seed", value());
-    else if (submit && arg == "--check-every")
-      spec_line("check_every", value());
-    else if (submit && arg == "--target-ci")
-      spec_line("target_ci", value());
-    else if (submit && arg == "--out") out_dir = value();
-    else if (submit && arg == "--quiet") quiet = true;
-    else if (stats && arg == "--watch")
-      watch_s = cli::int_flag(&usage, arg, value(), 1, 86400);
-    else if ((status || cancel) && arg == "--id") {
-      id_arg = value();
-      std::uint64_t id = 0;
-      if (!util::parse_u64(id_arg.c_str(), id))
-        usage("--id wants a request id");
-    } else if (arg == "--help" || arg == "-h") usage();
-    else usage(("unknown flag " + arg + " for mode " + mode).c_str());
+  // cli::parse_int/parse_size refuse a malformed value with UsageError.
+  try {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto value = [&]() -> std::string {
+        if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
+        return argv[++i];
+      };
+      if (arg == "--socket") {
+        so.socket_path = co.socket_path = value();
+        if (so.socket_path.empty()) usage("--socket wants a path");
+        transport_set = true;
+      } else if (arg == "--port") {
+        const int p = cli::parse_int(arg, value(), 0, 65535);
+        so.use_tcp = co.use_tcp = true;
+        so.port = co.port = static_cast<std::uint16_t>(p);
+        transport_set = true;
+      } else if (serve && arg == "--workers") {
+        so.sched.workers = static_cast<unsigned>(
+            cli::parse_int(arg, value(), 1, 1 << 10));
+      } else if (serve && arg == "--partitions") {
+        so.sched.partitions_per_cell = cli::parse_size(arg, value());
+        if (so.sched.partitions_per_cell == 0)
+          usage("--partitions wants >= 1");
+      } else if (serve && arg == "--slice") {
+        so.sched.slice_trials = cli::parse_size(arg, value());
+      } else if (serve && arg == "--dir") {
+        so.sched.checkpoint_dir = value();
+      } else if (serve && arg == "--verify-plan") {
+        so.sched.verify_plans = true;
+      } else if (serve && arg == "--trace") {
+        so.trace_path = value();
+        if (so.trace_path.empty()) usage("--trace wants a path");
+      } else if (serve && arg == "--crash-worker") {
+        const std::string v = value();
+        const std::size_t colon = v.find(':');
+        std::uint64_t w = 0, s = 0;
+        if (colon == std::string::npos ||
+            !util::parse_u64(v.substr(0, colon).c_str(), w) ||
+            !util::parse_u64(v.substr(colon + 1).c_str(), s))
+          usage("--crash-worker wants WORKER:SLICES");
+        so.crash_set = true;
+        so.crash_worker = static_cast<unsigned>(w);
+        so.crash_slices = static_cast<std::size_t>(s);
+      } else if (submit && arg == "--spec") {
+        spec_file = value();
+      } else if (submit && arg == "--name") spec_line("name", value());
+      else if (submit && arg == "--models") spec_line("models", value());
+      else if (submit && arg == "--acts") spec_line("acts", value());
+      else if (submit && arg == "--dtypes") spec_line("dtypes", value());
+      else if (submit && arg == "--faults") spec_line("faults", value());
+      else if (submit && arg == "--techniques")
+        spec_line("techniques", value());
+      else if (submit && arg == "--trials") spec_line("trials", value());
+      else if (submit && arg == "--trials-divisor")
+        spec_line("trials_divisor", value());
+      else if (submit && arg == "--inputs") spec_line("inputs", value());
+      else if (submit && arg == "--seed") spec_line("seed", value());
+      else if (submit && arg == "--check-every")
+        spec_line("check_every", value());
+      else if (submit && arg == "--target-ci")
+        spec_line("target_ci", value());
+      else if (submit && arg == "--out") out_dir = value();
+      else if (submit && arg == "--quiet") quiet = true;
+      else if (stats && arg == "--watch")
+        watch_s = cli::parse_int(arg, value(), 1, 86400);
+      else if ((status || cancel) && arg == "--id") {
+        id_arg = value();
+        std::uint64_t id = 0;
+        if (!util::parse_u64(id_arg.c_str(), id))
+          usage("--id wants a request id");
+      } else if (arg == "--help" || arg == "-h") usage();
+      else usage(("unknown flag " + arg + " for mode " + mode).c_str());
+    }
+  } catch (const cli::UsageError& e) {
+    usage(e.what());
   }
 
   if (!transport_set) usage("one of --socket/--port is required");

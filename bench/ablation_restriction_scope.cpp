@@ -10,22 +10,18 @@ using namespace rangerpp;
 
 namespace {
 
-double avg_sdc(const graph::Graph& g, const models::Workload& w,
-               const bench::BenchConfig& cfg, int n_bits,
-               bool consecutive) {
+// Judge-averaged SDC rate (%) of an in-memory campaign on `g`.
+double sdc_pct(const graph::Graph& g, const models::Workload& w,
+               const bench::BenchConfig& cfg, int n_bits, bool consecutive) {
   fi::CampaignConfig cc;
   cc.dtype = tensor::DType::kFixed32;
   cc.n_bits = n_bits;
   cc.consecutive_bits = consecutive;
   cc.trials_per_input = cfg.trials_for(w.id);
   cc.seed = cfg.seed;
-  const auto judges = models::default_judges(w.id);
-  const auto r =
-      fi::CampaignRunner({.campaign = cc}).run(g, w.eval_feeds, judges)
-          .aggregate;
-  double sum = 0.0;
-  for (const auto& x : r) sum += x.sdc_rate_pct();
-  return sum / static_cast<double>(r.size());
+  return bench::mean_sdc_pct(fi::CampaignRunner({.campaign = cc})
+                                 .run(g, w.eval_feeds,
+                                      models::default_judges(w.id)));
 }
 
 }  // namespace
@@ -63,9 +59,9 @@ int main() {
 
     scope.add_row(
         {models::model_name(id),
-         util::Table::pct(avg_sdc(w.graph, w, cfg, 1, false), 2),
-         util::Table::pct(avg_sdc(g_act, w, cfg, 1, false), 2),
-         util::Table::pct(avg_sdc(g_full, w, cfg, 1, false), 2),
+         util::Table::pct(sdc_pct(w.graph, w, cfg, 1, false), 2),
+         util::Table::pct(sdc_pct(g_act, w, cfg, 1, false), 2),
+         util::Table::pct(sdc_pct(g_full, w, cfg, 1, false), 2),
          std::to_string(n_act) + " / " + std::to_string(n_full)});
   }
   scope.print();
@@ -84,11 +80,11 @@ int main() {
     const graph::Graph prot = core::RangerTransform{}.apply(w.graph, bounds);
     util::Table table({"fault model", "unprotected", "Ranger"});
     table.add_row({"3 independent flips",
-                   util::Table::pct(avg_sdc(w.graph, w, cfg, 3, false), 2),
-                   util::Table::pct(avg_sdc(prot, w, cfg, 3, false), 2)});
+                   util::Table::pct(sdc_pct(w.graph, w, cfg, 3, false), 2),
+                   util::Table::pct(sdc_pct(prot, w, cfg, 3, false), 2)});
     table.add_row({"3-bit consecutive burst",
-                   util::Table::pct(avg_sdc(w.graph, w, cfg, 3, true), 2),
-                   util::Table::pct(avg_sdc(prot, w, cfg, 3, true), 2)});
+                   util::Table::pct(sdc_pct(w.graph, w, cfg, 3, true), 2),
+                   util::Table::pct(sdc_pct(prot, w, cfg, 3, true), 2)});
     table.print();
     std::printf(
         "The paper evaluates the independent model as the conservative "

@@ -223,7 +223,7 @@ int main() {
        {"sdcs_simd_int8", static_cast<double>(m[2][1].sdcs)},
        {"byte_tier_identical", byte_tier_ok ? 1.0 : 0.0},
        {"simd_tolerance_pass", simd_ok ? 1.0 : 0.0}},
-      &cfg);
+      cfg);
   // Correctness gates the exit code; the 1.3x throughput target is
   // tracked via the JSON artifact, not enforced here.
   return byte_tier_ok && simd_ok ? 0 : 1;

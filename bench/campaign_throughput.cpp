@@ -311,6 +311,6 @@ int main() {
        {"arena_reduction", arena_reduction},
        {"arena_planned", arena_planned ? 1.0 : 0.0},
        {"arena_exact", arena_exact ? 1.0 : 0.0}},
-      &cfg);
+      cfg);
   return identical && conv_identical && arena_planned && arena_exact ? 0 : 1;
 }

@@ -2,6 +2,17 @@
 // table or figure of the paper and prints the same rows/series the paper
 // reports (see EXPERIMENTS.md for the side-by-side comparison).
 //
+// The SDC figures whose campaigns are grid cells (Fig 6-9, 11, 12,
+// Table VI and weight_fault_sdc) run as fi::Suite grids
+// (suite_spec_from_env), so their records come from
+// fi::EngineCache::run_cell, the path suite_cli and the scheduler use.
+// Benches keep direct campaigns only where the variable is not a suite
+// axis: fig10 (bound percentile) and design_alternatives (restriction
+// policy) through run_sdc_campaign, ablation_restriction_scope (ACT-only
+// restriction scope, consecutive bursts on a fixed model), and the
+// throughput and matrix benches, which time the execution modes and
+// backends themselves.
+//
 // Environment knobs:
 //   RANGERPP_TRIALS    — trials per input for small models (default 1000;
 //                        large ImageNet-scale models get a quarter of this).
@@ -9,7 +20,8 @@
 //   RANGERPP_SEED      — campaign seed (default 2021).
 //   RANGERPP_SHARD     — "i/N": run only trials t with t % N == i (shard
 //                        of the deterministic trial stream; the union of
-//                        all shards equals the unsharded run).
+//                        all shards equals the unsharded run).  Suite
+//                        benches shard the suite-global stream.
 //   RANGERPP_BENCH_DIR — directory for BENCH_*.json artifacts (default:
 //                        current working directory).
 #pragma once
@@ -17,6 +29,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,19 +135,19 @@ inline ProtectedWorkload make_protected(models::ModelId id,
   return pw;
 }
 
-// Campaign driver shared by the SDC figures: CampaignRunner over the
-// model's default judges, in memory.  With RANGERPP_SHARD unset this
-// executes the campaign's whole deterministic trial stream; with it set,
-// this process contributes its shard and the printed rates are the
-// shard's estimate.
+// Direct campaign for the benches whose variable is not a suite axis
+// (fig10's bound percentile, design_alternatives' restriction policy):
+// CampaignRunner over the model's default judges, in memory.  With
+// RANGERPP_SHARD unset this executes the campaign's whole deterministic
+// trial stream; with it set, this process contributes its shard (raw
+// trial index, not the suite-global mapping) and the printed rates are
+// the shard's estimate.
 inline fi::CampaignReport run_sdc_campaign(const graph::Graph& g,
                                            const models::Workload& base,
                                            const BenchConfig& cfg,
-                                           tensor::DType dtype,
-                                           int n_bits = 1) {
+                                           tensor::DType dtype) {
   fi::RunnerConfig rc;
   rc.campaign.dtype = dtype;
-  rc.campaign.n_bits = n_bits;
   rc.campaign.trials_per_input = cfg.trials_for(base.id);
   rc.campaign.seed = cfg.seed;
   rc.shard_index = cfg.shard_index;
@@ -144,30 +157,30 @@ inline fi::CampaignReport run_sdc_campaign(const graph::Graph& g,
                                     models::default_judges(base.id));
 }
 
-// Runs the standard judges on both graphs and returns
-// {original results, ranger results} (one entry per judge).
-struct SdcComparison {
-  std::vector<fi::CampaignResult> original;
-  std::vector<fi::CampaignResult> ranger;
-};
-
-inline SdcComparison compare_sdc(const ProtectedWorkload& pw,
-                                 const BenchConfig& cfg,
-                                 tensor::DType dtype, int n_bits = 1) {
-  SdcComparison out;
-  out.original =
-      run_sdc_campaign(pw.base.graph, pw.base, cfg, dtype, n_bits).aggregate;
-  out.ranger = run_sdc_campaign(pw.protected_graph, pw.base, cfg, dtype,
-                                n_bits)
-                   .aggregate;
-  return out;
+// Mean over a campaign's judges of its SDC rate, in percent: the
+// one-number-per-model summary Fig 8's reductions, Table VI's Hong row,
+// the weight-fault table and the ablations quote.
+inline double mean_sdc_pct(const fi::CampaignReport& r) {
+  double sum = 0.0;
+  for (const fi::CampaignResult& a : r.aggregate) sum += a.sdc_rate_pct();
+  return r.aggregate.empty() ? 0.0
+                             : sum / static_cast<double>(r.aggregate.size());
 }
 
-// Wilson centre ± half-width — the one formatter the suite report layer
-// and the remaining standalone benches share (fi::pct_pm), so the
-// "suite tables == bench tables" contract cannot drift on formatting.
-inline std::string pct_pm(const fi::CampaignResult& r) {
-  return fi::pct_pm(r);
+// The first cell of `r` with these dimensions (the bench grids have one
+// dtype, so it is not matched).  Throws if the grid has no such cell.
+inline const fi::SuiteCellResult& find_cell(
+    const fi::SuiteResult& r, models::ModelId model, fi::Technique technique,
+    ops::OpKind act = ops::OpKind::kInput,
+    const fi::FaultModelSpec& fault = {}) {
+  const std::string fault_token = fi::fault_spec_token(fault);
+  for (const fi::SuiteCellResult& c : r.cells)
+    if (c.cell.model == model && c.cell.technique == technique &&
+        c.cell.act == act && fi::fault_spec_token(c.cell.fault) == fault_token)
+      return c;
+  throw std::out_of_range("bench: suite " + r.plan.spec.name +
+                          " has no such cell for " +
+                          models::model_name(model));
 }
 
 // Banner for sharded figure runs, so partial rates are never mistaken for
@@ -190,13 +203,12 @@ inline void print_header(const char* experiment, const char* paper_ref) {
 // pairs; a `host` block (hardware_concurrency, kernel backend, seed,
 // trial counts) makes artifacts from different machines comparable —
 // throughput numbers like the conv blocked-vs-scalar speedup are
-// host-dependent even though results are not.  Pass the bench's own
-// `cfg` so the block records the *effective* configuration; nullptr
-// falls back to a fresh env-derived one.
+// host-dependent even though results are not.  `cfg` is the bench's
+// own, so the block records the *effective* configuration.
 inline void emit_bench_json(
     const std::string& name,
     const std::vector<std::pair<std::string, double>>& metrics,
-    const BenchConfig* bench_cfg = nullptr) {
+    const BenchConfig& cfg) {
   std::string dir;
   if (const char* d = std::getenv("RANGERPP_BENCH_DIR")) {
     dir = d;
@@ -208,7 +220,6 @@ inline void emit_bench_json(
     std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
     return;
   }
-  const BenchConfig cfg = bench_cfg ? *bench_cfg : BenchConfig{};
   std::fprintf(f, "{\n  \"bench\": \"%s\",", name.c_str());
   std::fprintf(f,
                "\n  \"host\": {\"hardware_concurrency\": %u, \"backend\": "

@@ -105,7 +105,7 @@ int main() {
     util::Table table({"policy", "pred. changes on exceeding inputs",
                        "SDC rate (%)"});
     const auto base = campaign(w.graph);
-    table.add_row({"Unprotected", "-", bench::pct_pm(base[0])});
+    table.add_row({"Unprotected", "-", fi::pct_pm(base[0])});
 
     for (const PolicyDef& p : kPolicies) {
       const graph::Graph protected_g =
@@ -124,7 +124,7 @@ int main() {
       table.add_row(
           {p.name,
            std::to_string(changed) + " / " + std::to_string(exceeding.size()),
-           bench::pct_pm(r[0])});
+           fi::pct_pm(r[0])});
     }
     table.print();
 

@@ -35,9 +35,9 @@ int main() {
 
   util::Table sdc_table({"config", "thr=15", "thr=30", "thr=60", "thr=120"});
   util::Table acc_table({"config", "RMSE (deg)", "Avg. deviation (deg)"});
-  sdc_table.add_row({"Original", bench::pct_pm(base[0]),
-                     bench::pct_pm(base[1]), bench::pct_pm(base[2]),
-                     bench::pct_pm(base[3])});
+  sdc_table.add_row({"Original", fi::pct_pm(base[0]),
+                     fi::pct_pm(base[1]), fi::pct_pm(base[2]),
+                     fi::pct_pm(base[3])});
   acc_table.add_row({"Original", util::Table::fmt(base_acc.rmse, 3),
                      util::Table::fmt(base_acc.avg_deviation, 3)});
 
@@ -49,8 +49,8 @@ int main() {
     const models::SteeringMetrics acc = models::steering_metrics(
         protected_g, w.input_name, w.validation, false);
     const std::string label = "Bound-" + util::Table::fmt(pct, 1) + "%";
-    sdc_table.add_row({label, bench::pct_pm(r[0]), bench::pct_pm(r[1]),
-                       bench::pct_pm(r[2]), bench::pct_pm(r[3])});
+    sdc_table.add_row({label, fi::pct_pm(r[0]), fi::pct_pm(r[1]),
+                       fi::pct_pm(r[2]), fi::pct_pm(r[3])});
     acc_table.add_row({label, util::Table::fmt(acc.rmse, 3),
                        util::Table::fmt(acc.avg_deviation, 3)});
   }

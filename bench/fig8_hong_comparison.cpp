@@ -3,21 +3,15 @@
 // Paper findings: the Tanh swap yields 0% reduction on models already
 // using Tanh (faults after the Tanh are untouched) and modest reduction on
 // ReLU models; Ranger exceeds 85% everywhere.
+//
+// Runs on fi::Suite: {lenet, alexnet, vgg11, dave, comma} × {relu, tanh}
+// × fixed32 × single-bit × {unprotected, ranger}; each reduction is
+// computed from the judge-averaged SDC rates of two of those cells.
 #include "bench/common.hpp"
 
 using namespace rangerpp;
 
 namespace {
-
-// Average SDC rate across a model's default judges.
-double avg_sdc_pct(const graph::Graph& g, const models::Workload& w,
-                   const bench::BenchConfig& cfg) {
-  const auto results =
-      bench::run_sdc_campaign(g, w, cfg, tensor::DType::kFixed32).aggregate;
-  double sum = 0.0;
-  for (const auto& r : results) sum += r.sdc_rate_pct();
-  return sum / static_cast<double>(results.size());
-}
 
 double reduction_pct(double base, double with_defense) {
   if (base <= 0.0) return 0.0;
@@ -37,25 +31,33 @@ int main() {
       models::ModelId::kVgg11, models::ModelId::kDave,
       models::ModelId::kComma};
 
+  // ReLU-activation base model (the published configuration) and the
+  // Tanh-activation variant.  Hong et al.'s defense = swap every ACT to
+  // Tanh (applied to the ReLU model); applied to the Tanh model it
+  // changes nothing.
+  fi::SuiteSpec spec = bench::suite_spec_from_env(cfg, "fig8");
+  spec.models.assign(std::begin(ids), std::end(ids));
+  spec.acts = {ops::OpKind::kRelu, ops::OpKind::kTanh};
+  fi::Suite suite(std::move(spec));
+  const fi::SuiteResult result = suite.run();
+  const auto sdc_pct = [&](models::ModelId id, ops::OpKind act,
+                           fi::Technique t) {
+    return bench::mean_sdc_pct(bench::find_cell(result, id, t, act).report);
+  };
+
   util::Table table({"model", "Tanh-Hong", "Tanh-Ranger", "Relu-Hong",
                      "Relu-Ranger"});
   double sums[4] = {0, 0, 0, 0};
   for (const models::ModelId id : ids) {
-    // ReLU-activation base model (the published configuration) and the
-    // Tanh-activation variant.  Hong et al.'s defense = swap every ACT to
-    // Tanh (applied to the ReLU model); applied to the Tanh model it
-    // changes nothing.
-    const bench::ProtectedWorkload relu =
-        bench::make_protected(id, cfg, ops::OpKind::kRelu);
-    const bench::ProtectedWorkload tanh =
-        bench::make_protected(id, cfg, ops::OpKind::kTanh);
-
-    const double sdc_relu = avg_sdc_pct(relu.base.graph, relu.base, cfg);
+    using fi::Technique;
+    const double sdc_relu =
+        sdc_pct(id, ops::OpKind::kRelu, Technique::kUnprotected);
     const double sdc_relu_ranger =
-        avg_sdc_pct(relu.protected_graph, relu.base, cfg);
-    const double sdc_tanh = avg_sdc_pct(tanh.base.graph, tanh.base, cfg);
+        sdc_pct(id, ops::OpKind::kRelu, Technique::kRanger);
+    const double sdc_tanh =
+        sdc_pct(id, ops::OpKind::kTanh, Technique::kUnprotected);
     const double sdc_tanh_ranger =
-        avg_sdc_pct(tanh.protected_graph, tanh.base, cfg);
+        sdc_pct(id, ops::OpKind::kTanh, Technique::kRanger);
 
     const double tanh_hong = 0.0;  // defense == identity on Tanh models
     const double tanh_ranger = reduction_pct(sdc_tanh, sdc_tanh_ranger);

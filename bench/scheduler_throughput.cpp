@@ -193,6 +193,6 @@ int main() {
        {"multi_client_trials_per_sec", multi.trials_per_sec()},
        {"worker_scaling", scaling},
        {"exports_identical", identical ? 1.0 : 0.0}},
-      &cfg);
+      cfg);
   return identical ? 0 : 1;
 }

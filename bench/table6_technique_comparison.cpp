@@ -13,9 +13,10 @@
 //    activation variant, i.e. two unprotected cells on the suite's act
 //    axis.
 // The five baseline techniques (src/baselines/) keep the paired replay
-// evaluator below but share the suite's workload cache, so every row of
-// the table is built from one workload/bounds/plan construction per
-// model.
+// evaluator below: each replays the fault sets of the SDC records of
+// the suite's own unprotected cell, judged against that cell's executor
+// goldens, so every row of the table draws on one unprotected campaign
+// and one workload/bounds/plan construction per model.
 //
 // Paper's cited operating points: TMR 100%/200%; selective duplication
 // ~60%/30%; symptom-based detector 99.5%/74.48%; ML-based corrector
@@ -43,41 +44,13 @@ struct Row {
   std::size_t count = 0;
 };
 
-// The unprotected half of the paired replay, run once per workload: the
-// campaign's trials that are SDCs without protection, and the goldens
-// they were judged against.  The trials come from CampaignRunner, so the
-// fault stream is the exact one every other campaign entry point draws
-// for this seed.
+// The unprotected half of the paired replay: the SDC trials of a
+// model's unprotected suite cell and the goldens they were judged
+// against.
 struct PlainSdcs {
-  std::vector<fi::TrialRecord> trials;
-  std::vector<tensor::Tensor> golden;  // per input
+  std::vector<const fi::TrialRecord*> trials;
+  const fi::TrialExecutor* executor = nullptr;  // owns the goldens
 };
-
-PlainSdcs plain_sdcs(const models::Workload& w,
-                     const bench::BenchConfig& cfg) {
-  fi::RunnerConfig rc;
-  rc.campaign.dtype = tensor::DType::kFixed32;
-  rc.campaign.trials_per_input = cfg.trials_for(w.id) / 2;
-  rc.campaign.seed = cfg.seed;
-  // Honor RANGERPP_SHARD like the campaign figures: this process replays
-  // only its slice of the deterministic trial stream.
-  rc.shard_index = cfg.shard_index;
-  rc.shard_count = cfg.shard_count;
-  const fi::TrialExecutor executor(w.graph, rc.campaign, w.eval_feeds,
-                                   util::default_thread_count());
-  fi::RunContext ctx;
-  ctx.plan_graph = &w.graph;
-  ctx.executor = &executor;
-  PlainSdcs out;
-  for (fi::TrialRecord& r :
-       fi::CampaignRunner(rc)
-           .run(ctx, w.eval_feeds, models::default_judges(w.id))
-           .records)
-    if (r.sdc_mask != 0) out.trials.push_back(std::move(r));
-  for (std::size_t i = 0; i < w.eval_feeds.size(); ++i)
-    out.golden.push_back(executor.golden_output(i));
-  return out;
-}
 
 // Evaluates one technique on one workload: replays the fault sets of the
 // workload's unprotected SDC trials and counts a trial covered when the
@@ -95,12 +68,13 @@ void eval_technique(baselines::Technique& tech, const models::Workload& w,
   std::vector<graph::Arena> tech_arenas(util::worker_count(sdcs));
   std::vector<unsigned char> covered_flags(sdcs, 0);
   util::parallel_for_workers(sdcs, [&](unsigned worker, std::size_t i) {
-    const fi::TrialRecord& r = plain.trials[i];
+    const fi::TrialRecord& r = *plain.trials[i];
     const baselines::TrialOutcome o = tech.run_trial(
         plan, tech_arenas[worker], w.eval_feeds[r.input], r.faults);
     bool still_sdc = false;
     for (const auto& j : judges)
-      if (j->is_sdc(plain.golden[r.input], o.output)) still_sdc = true;
+      if (j->is_sdc(plain.executor->golden_output(r.input), o.output))
+        still_sdc = true;
     if (!still_sdc || o.detected) covered_flags[i] = 1;
   });
 
@@ -112,15 +86,6 @@ void eval_technique(baselines::Technique& tech, const models::Workload& w,
     row.overhead_sum += tech.overhead_pct(w.graph);
     ++row.count;
   }
-}
-
-// Mean-over-judges SDC rate of an unprotected suite cell.
-double mean_sdc_rate(const fi::SuiteCellResult& c) {
-  double sum = 0.0;
-  for (const auto& r : c.report.aggregate) sum += r.sdc_rate();
-  return c.report.aggregate.empty()
-             ? 0.0
-             : sum / static_cast<double>(c.report.aggregate.size());
 }
 
 }  // namespace
@@ -190,7 +155,13 @@ int main() {
     baselines::MlCorrector ml(200, cfg.seed);
     baselines::AbftConv abft;
 
-    const PlainSdcs plain = plain_sdcs(w, cfg);
+    const fi::SuiteCellResult& cell =
+        bench::find_cell(paired, id, fi::Technique::kUnprotected);
+    PlainSdcs plain;
+    for (const fi::TrialRecord& r : cell.report.records)
+      if (r.sdc_mask != 0) plain.trials.push_back(&r);
+    plain.executor = &paired_suite.engine().executor(
+        paired_suite.plan().spec, cell.cell, /*is_protected=*/false);
     eval_technique(tmr, w, plain, tmr_row);
     eval_technique(dup, w, plain, dup_row);
     eval_technique(sym, w, plain, sym_row);
@@ -212,18 +183,15 @@ int main() {
 
   // Hong: relative SDC reduction Tanh vs ReLU per model.
   for (const models::ModelId id : ids) {
-    const fi::SuiteCellResult* relu = nullptr;
-    const fi::SuiteCellResult* tanh = nullptr;
-    for (const fi::SuiteCellResult& c : hong.cells) {
-      if (c.cell.model != id) continue;
-      if (c.cell.act == ops::OpKind::kRelu) relu = &c;
-      if (c.cell.act == ops::OpKind::kTanh) tanh = &c;
-    }
-    if (!relu || !tanh) continue;
-    const double base = mean_sdc_rate(*relu);
-    hong_row.coverage_sum +=
-        base <= 0.0 ? 0.0
-                    : 100.0 * (base - mean_sdc_rate(*tanh)) / base;
+    const double base = bench::mean_sdc_pct(
+        bench::find_cell(hong, id, fi::Technique::kUnprotected,
+                         ops::OpKind::kRelu)
+            .report);
+    const double tanh = bench::mean_sdc_pct(
+        bench::find_cell(hong, id, fi::Technique::kUnprotected,
+                         ops::OpKind::kTanh)
+            .report);
+    hong_row.coverage_sum += base <= 0.0 ? 0.0 : 100.0 * (base - tanh) / base;
     hong_row.overhead_sum += 0.0;  // architecture change, no runtime cost
     ++hong_row.count;
   }

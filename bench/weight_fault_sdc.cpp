@@ -7,6 +7,9 @@
 //     corrected, so this column is 0 by construction for kind=single),
 //   * persistent weight faults (no ECC) on the Ranger-protected graph —
 //     does range restriction also contain parameter corruption?
+// The table's campaigns run on two fi::Suite grids sharing one workload
+// cache: {b1, wsingle, wsingle-secded} × unprotected, and wsingle ×
+// ranger.
 //
 // A second section benchmarks the persistent-fault input sweep: one
 // patched plan per fault reused across every input (the campaign path)
@@ -22,30 +25,6 @@
 using namespace rangerpp;
 
 namespace {
-
-fi::CampaignReport run_weight_campaign(const graph::Graph& g,
-                                       const models::Workload& base,
-                                       const bench::BenchConfig& cfg,
-                                       const fi::EccModel& ecc) {
-  fi::RunnerConfig rc;
-  rc.campaign.dtype = tensor::DType::kFixed32;
-  rc.campaign.fault_class = fi::FaultClass::kWeight;
-  rc.campaign.ecc = ecc;
-  rc.campaign.trials_per_input = cfg.trials_for(base.id);
-  rc.campaign.seed = cfg.seed;
-  rc.shard_index = cfg.shard_index;
-  rc.shard_count = cfg.shard_count;
-  rc.label = models::model_name(base.id) + "+weight";
-  return fi::CampaignRunner(rc).run(g, base.eval_feeds,
-                                    models::default_judges(base.id));
-}
-
-double avg_rate_pct(const fi::CampaignReport& r) {
-  double sum = 0.0;
-  for (const fi::CampaignResult& a : r.aggregate) sum += a.sdc_rate_pct();
-  return r.aggregate.empty() ? 0.0
-                             : sum / static_cast<double>(r.aggregate.size());
-}
 
 struct SweepMeasurement {
   double seconds = 0.0;
@@ -123,23 +102,45 @@ int main() {
                       "relaxed: parameter memory without/with ECC)");
   bench::print_shard_note(cfg);
 
-  const fi::EccModel no_ecc{};
-  const fi::EccModel secded{fi::EccKind::kSecDed, 0.0};
+  // Two suites over one workload cache: the three unprotected fault
+  // models, and weight faults on the Ranger-protected graph.
+  const models::ModelId ids[] = {models::ModelId::kLeNet,
+                                 models::ModelId::kAlexNet};
+  const fi::FaultModelSpec b1{};
+  const fi::FaultModelSpec wsingle = *fi::fault_spec_from_token("wsingle");
+  const fi::FaultModelSpec wsingle_secded =
+      *fi::fault_spec_from_token("wsingle-secded");
+  models::WorkloadOptions suite_wo;
+  suite_wo.eval_inputs = cfg.inputs;
+  suite_wo.seed = cfg.seed;
+  models::WorkloadCache cache(suite_wo);
+
+  fi::SuiteSpec spec = bench::suite_spec_from_env(cfg, "weight_fault");
+  spec.models.assign(std::begin(ids), std::end(ids));
+  spec.faults = {b1, wsingle, wsingle_secded};
+  spec.techniques = {fi::Technique::kUnprotected};
+  const fi::SuiteResult plain = fi::Suite(spec, &cache).run();
+  spec.name = "weight_fault-ranger";
+  spec.faults = {wsingle};
+  spec.techniques = {fi::Technique::kRanger};
+  const fi::SuiteResult ranger = fi::Suite(spec, &cache).run();
 
   std::vector<std::pair<std::string, double>> metrics;
   util::Table table({"model", "SDC act (%)", "SDC weight (%)",
                      "SDC weight+secded (%)", "SDC weight ranger (%)"});
-  for (const models::ModelId id :
-       {models::ModelId::kLeNet, models::ModelId::kAlexNet}) {
-    const bench::ProtectedWorkload pw = bench::make_protected(id, cfg);
-    const double act = avg_rate_pct(bench::run_sdc_campaign(
-        pw.base.graph, pw.base, cfg, tensor::DType::kFixed32));
-    const double weight = avg_rate_pct(
-        run_weight_campaign(pw.base.graph, pw.base, cfg, no_ecc));
-    const double weight_secded = avg_rate_pct(
-        run_weight_campaign(pw.base.graph, pw.base, cfg, secded));
-    const double weight_ranger = avg_rate_pct(
-        run_weight_campaign(pw.protected_graph, pw.base, cfg, no_ecc));
+  for (const models::ModelId id : ids) {
+    // Each of the two suites runs one technique.
+    const auto sdc_pct = [&](const fi::SuiteResult& r,
+                             const fi::FaultModelSpec& f) {
+      return bench::mean_sdc_pct(
+          bench::find_cell(r, id, r.plan.spec.techniques.front(),
+                           ops::OpKind::kInput, f)
+              .report);
+    };
+    const double act = sdc_pct(plain, b1);
+    const double weight = sdc_pct(plain, wsingle);
+    const double weight_secded = sdc_pct(plain, wsingle_secded);
+    const double weight_ranger = sdc_pct(ranger, wsingle);
     table.add_row({models::model_name(id), util::Table::fmt(act, 2),
                    util::Table::fmt(weight, 2),
                    util::Table::fmt(weight_secded, 2),
@@ -204,6 +205,6 @@ int main() {
   metrics.emplace_back("sweep_seconds", sweep.seconds);
   metrics.emplace_back("naive_seconds", naive.seconds);
   metrics.emplace_back("sweep_speedup_x", speedup);
-  bench::emit_bench_json("weight_fault_sdc", metrics, &cfg);
+  bench::emit_bench_json("weight_fault_sdc", metrics, cfg);
   return 0;
 }

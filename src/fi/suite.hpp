@@ -229,6 +229,9 @@ class Suite {
   const graph::Graph& protected_graph(models::ModelId id, ops::OpKind act) {
     return engine_.protected_graph(plan_.spec, id, act);
   }
+  // The cache every cell runs on, e.g. for the executor (and goldens) a
+  // cell's trials run against.
+  EngineCache& engine() { return engine_; }
 
  private:
   SuitePlan plan_;

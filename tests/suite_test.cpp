@@ -97,38 +97,67 @@ TEST(SuitePlan, RejectsBadSpecs) {
   EXPECT_THROW(compile_suite(bad_bits), std::invalid_argument);
 }
 
-// The acceptance contract of the port: a suite cell's records are
-// bit-identical to the standalone CampaignRunner campaign the fig6/fig9
-// benches used to run directly.
+// The acceptance contract of the figure benches' port onto the suite: a
+// suite cell's records are bit-identical to the standalone
+// CampaignRunner campaign the benches used to run directly — across the
+// configurations they rely on: dtypes (fig6/fig9), multi-bit faults
+// (fig11/fig12), activation variants (fig8, Table VI's Hong row) and
+// weight faults with and without SEC-DED (weight_fault_sdc).
 TEST(Suite, CellsMatchStandaloneRunnerBitForBit) {
-  SuiteSpec spec = tiny_spec("equiv");
-  spec.dtypes = {tensor::DType::kFixed32, tensor::DType::kFixed16};
-  Suite suite(spec);
-  const SuiteResult result = suite.run();
-  ASSERT_EQ(result.cells.size(), 4u);
+  struct Grid {
+    std::vector<ops::OpKind> acts = {ops::OpKind::kInput};
+    std::vector<tensor::DType> dtypes = {tensor::DType::kFixed32};
+    std::vector<FaultModelSpec> faults = {{}};
+  };
+  const Grid grids[] = {
+      {.dtypes = {tensor::DType::kFixed32, tensor::DType::kFixed16}},
+      {.faults = {{3}}},
+      {.acts = {ops::OpKind::kRelu, ops::OpKind::kTanh}},
+      {.faults = {*fault_spec_from_token("wsingle"),
+                  *fault_spec_from_token("wsingle-secded")}},
+  };
+  for (const Grid& grid : grids) {
+    SuiteSpec spec = tiny_spec("equiv");
+    spec.acts = grid.acts;
+    spec.dtypes = grid.dtypes;
+    spec.faults = grid.faults;
+    Suite suite(spec);
+    const SuiteResult result = suite.run();
+    ASSERT_EQ(result.cells.size(), 2 * grid.acts.size() *
+                                       grid.dtypes.size() *
+                                       grid.faults.size());
 
-  models::WorkloadOptions wo;
-  wo.eval_inputs = spec.inputs;
-  wo.seed = spec.seed;
-  const models::Workload w = models::make_workload(models::ModelId::kLeNet, wo);
-  const core::Bounds bounds =
-      core::RangeProfiler{}.derive_bounds(w.graph, w.profile_feeds);
-  const graph::Graph protected_g =
-      core::RangerTransform{}.apply(w.graph, bounds);
+    for (const ops::OpKind act : grid.acts) {
+      models::WorkloadOptions wo;
+      wo.act = act;
+      wo.eval_inputs = spec.inputs;
+      wo.seed = spec.seed;
+      const models::Workload w =
+          models::make_workload(models::ModelId::kLeNet, wo);
+      const core::Bounds bounds =
+          core::RangeProfiler{}.derive_bounds(w.graph, w.profile_feeds);
+      const graph::Graph protected_g =
+          core::RangerTransform{}.apply(w.graph, bounds);
 
-  for (const SuiteCellResult& cell : result.cells) {
-    RunnerConfig rc;
-    rc.campaign.dtype = cell.cell.dtype;
-    rc.campaign.trials_per_input = cell.cell.trials_per_input;
-    rc.campaign.seed = spec.seed;
-    rc.check_every = spec.check_every;
-    const graph::Graph& g = cell.cell.technique == Technique::kRanger
-                                ? protected_g
-                                : w.graph;
-    const CampaignReport standalone = CampaignRunner(rc).run(
-        g, w.eval_feeds, models::default_judges(models::ModelId::kLeNet));
-    EXPECT_TRUE(records_identical(cell.report.records, standalone.records))
-        << cell.cell.id;
+      for (const SuiteCellResult& cell : result.cells) {
+        if (cell.cell.act != act) continue;
+        RunnerConfig rc;
+        rc.campaign.dtype = cell.cell.dtype;
+        rc.campaign.n_bits = cell.cell.fault.n_bits;
+        rc.campaign.fault_class = cell.cell.fault.cls;
+        rc.campaign.ecc = cell.cell.fault.ecc;
+        rc.campaign.trials_per_input = cell.cell.trials_per_input;
+        rc.campaign.seed = spec.seed;
+        rc.check_every = spec.check_every;
+        const graph::Graph& g = cell.cell.technique == Technique::kRanger
+                                    ? protected_g
+                                    : w.graph;
+        const CampaignReport standalone = CampaignRunner(rc).run(
+            g, w.eval_feeds, models::default_judges(models::ModelId::kLeNet));
+        EXPECT_TRUE(records_identical(cell.report.records, standalone.records))
+            << cell.cell.id;
+      }
+    }
   }
 }
 

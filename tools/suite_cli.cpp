@@ -24,11 +24,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "fi/suite.hpp"
 #include "graph/passes.hpp"
-#include "models/zoo.hpp"
 #include "tools/cli_flags.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
@@ -114,8 +115,9 @@ constexpr cli::Flag<Options> kFlags[] = {
      "(counters/gauges/histograms) on exit",
      [](Options& o, Args& a) { o.metrics = a.value(); }},
     {"--dump-passes", "",
-     "print each model's compile pipeline (per-pass\n"
-     "timing + node counts) and exit",
+     "print the compile pipeline (per-pass timing\n"
+     "+ node counts) of every plan the grid runs,\n"
+     "and exit",
      [](Options& o, Args&) { o.dump_passes = true; }},
 };
 
@@ -152,25 +154,24 @@ int main(int argc, char** argv) {
   cli::start_telemetry(o.common, !o.metrics.empty());
 
   try {
+    fi::Suite suite(spec);
     if (o.dump_passes) {
-      // Pipeline shape and pass cost depend on the architecture, not on
-      // trained weight values, so He-initialised weights (the zoo tests'
-      // pattern) keep this instant even for the ImageNet-scale models.
-      for (const models::ModelId id : spec.models) {
-        const ops::OpKind act = models::default_act(id);
-        const graph::ExecutionPlan probe = graph::compile(
-            models::build_model(id, act, models::init_weights(id, act, 99)),
-            {.dtype = spec.dtypes.empty() ? tensor::DType::kFixed32
-                                          : spec.dtypes.front(),
-             .observe = graph::Observe::kInjectable});
-        std::printf("compile pipeline for %s:\n%s\n",
-                    models::model_name(id).c_str(),
-                    probe.report()->to_string().c_str());
+      // The plan each distinct (model, act, dtype, protected) executor of
+      // the grid runs its trials on — the one campaign_cli prints.
+      std::set<std::tuple<models::ModelId, ops::OpKind, tensor::DType, bool>>
+          seen;
+      for (const fi::SuiteCell& c : suite.plan().cells) {
+        const bool prot = c.technique != fi::Technique::kUnprotected;
+        if (!seen.insert({c.model, c.act, c.dtype, prot}).second) continue;
+        const fi::TrialExecutor& ex =
+            suite.engine().executor(suite.plan().spec, c, prot);
+        std::printf("compile pipeline for %s (%s):\n%s\n", c.label.c_str(),
+                    std::string(fi::dtype_token(c.dtype)).c_str(),
+                    ex.plan().report()->to_string().c_str());
       }
       return 0;
     }
 
-    fi::Suite suite(spec);
     std::unique_ptr<cli::ProgressReporter> reporter;
     if (o.common.progress && !o.merge)
       reporter = std::make_unique<cli::ProgressReporter>(
